@@ -3,7 +3,9 @@ theorem families over parameter grids, search for m-to-1 forms, and count
 m-to-1 self-maps.
 
 Exit codes: 0 success (and, for verify, zero disagreements); 1 verify found
-disagreements; 2 parse failure; 3 unsupported scale; 4 search budget exceeded.
+disagreements; 2 parse failure; 3 unsupported scale; 4 search budget exceeded;
+5 verify ran zero checks (a grid record counts its params.checked, any other
+record that is not skipped counts one).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 
 from .criteria import HypothesisError
 from .galois import FieldError, Poly, ScaleError, parse_field
-from .harness import VerifyJob, run_job
+from .harness import FAMILIES, VerifyJob, run_job
 from .multiplicity import (FiniteMapping, admissible_m_set, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fiber_histogram)
@@ -26,6 +28,7 @@ EXIT_DISAGREE = 1
 EXIT_PARSE = 2
 EXIT_SCALE = 3
 EXIT_BUDGET = 4
+EXIT_VACUOUS = 5
 
 
 def _parse_int_list(text):
@@ -62,13 +65,13 @@ def _pick(positional, flagged, what):
 
 
 def _emit(payload, args):
+    """Write the payload as JSON to --out, and print it under --json."""
     text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
-    if getattr(args, "json", False) or not getattr(args, "out", None):
-        return text
-    return None
+    if args.json:
+        print(text)
 
 
 def cmd_analyze(args):
@@ -80,7 +83,7 @@ def cmd_analyze(args):
     mapping = FiniteMapping.from_function(domain, poly)
     hist = fiber_histogram(mapping)
     admissible = sorted(admissible_m_set(mapping))
-    ms = [args.m] if args.m else admissible
+    ms = [args.m] if args.m is not None else admissible
     reports = [check_m_to_1(mapping, m) for m in ms]
     payload = {
         "field": args.field,
@@ -91,11 +94,8 @@ def cmd_analyze(args):
         "admissible_m": admissible,
         "reports": [r.to_json() for r in reports],
     }
-    if args.json or args.out:
-        text = _emit(payload, args)
-        if text and args.json:
-            print(text)
-    else:
+    _emit(payload, args)
+    if not (args.json or args.out):
         dom = payload["domain"]
         print(f"f = {args.poly} on {dom} of GF({spec.q})")
         print(f"fiber histogram: {list(hist)}")
@@ -134,13 +134,8 @@ def cmd_verify(args):
     report = run_job(job)
     if args.csv:
         _write_csv(report, args.csv)
-    text = json.dumps(report, indent=2, sort_keys=True, default=str)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    if args.json:
-        print(text)
-    else:
+    _emit(report, args)
+    if not args.json:
         s = report["summary"]
         print(f"family={report['family']} total={s['total']} "
               f"agreements={s['agreements']} disagreements={s['disagreements']} "
@@ -148,7 +143,19 @@ def cmd_verify(args):
         for rec in report["records"]:
             if rec["agree"] is False:
                 print(f"DISAGREEMENT: {json.dumps(rec['params'], sort_keys=True)}")
-    return EXIT_OK if report["summary"]["disagreements"] == 0 else EXIT_DISAGREE
+    if report["summary"]["disagreements"]:
+        return EXIT_DISAGREE
+    if not _checks(report):
+        print("error: the report stands for zero checks", file=sys.stderr)
+        return EXIT_VACUOUS
+    return EXIT_OK
+
+
+def _checks(report):
+    """Checks behind a report: a grid record counts its params.checked, any
+    other record that is not skipped counts one."""
+    return sum(rec["params"].get("checked", 1) for rec in report["records"]
+               if not rec["skipped"])
 
 
 def _write_csv(report, path):
@@ -172,11 +179,8 @@ def cmd_search(args):
                         budget=args.budget)
     payload = {"field": args.field, "s": args.s, "deg": args.deg, "m": args.m,
                "hits": hits, "count": len(hits)}
-    if args.json or args.out:
-        text = _emit(payload, args)
-        if text and args.json:
-            print(text)
-    else:
+    _emit(payload, args)
+    if not (args.json or args.out):
         print(f"{len(hits)} hit(s) for m={args.m}, shape x^r h(x^{args.s}), "
               f"deg h <= {args.deg} over GF({spec.q})")
         for hit in hits:
@@ -188,7 +192,7 @@ def cmd_count(args):
     qs = _parse_int_list(args.q)
     rows = []
     for q in qs:
-        ms = [args.m] if args.m else list(range(1, q + 1))
+        ms = [args.m] if args.m is not None else list(range(1, q + 1))
         census = None
         if args.check:
             if q > 6:
@@ -201,11 +205,8 @@ def cmd_count(args):
                 row["agree"] = row["count"] == census[m]
             rows.append(row)
     payload = {"rows": rows}
-    if args.json or args.out:
-        text = _emit(payload, args)
-        if text and args.json:
-            print(text)
-    else:
+    _emit(payload, args)
+    if not (args.json or args.out):
         for row in rows:
             extra = ""
             if "enumerated" in row:
@@ -237,8 +238,7 @@ def build_parser():
     pa.add_argument("--out", default=None)
     pa.set_defaults(fn=cmd_analyze)
 
-    families = ("main", "small", "ell", "monomial", "hd", "lift", "g3", "g5",
-                "split", "lemmas", "transfer", "towers", "criteria", "count")
+    families = tuple(FAMILIES)
     pv = sub.add_parser("verify", help="run a theorem family against oracles")
     pv.add_argument("family", nargs="?", choices=families, default=None)
     pv.add_argument("--family", dest="family_flag", choices=families,
@@ -288,15 +288,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScaleError as err:
+    except (BudgetError, FieldError, HypothesisError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_SCALE
-    except BudgetError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (FieldError, HypothesisError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(err, ScaleError):
+            return EXIT_SCALE
+        return EXIT_BUDGET if isinstance(err, BudgetError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

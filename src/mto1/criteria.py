@@ -177,6 +177,43 @@ class GroupModel:
                    trusted=trusted)
 
 
+def _per_class_side(f, classes, m):
+    """The per-class side shared by the local criterion and construction 1:
+    f is m-to-1 on every class of size >= m, and the exceptional points of
+    those classes plus the points of the smaller classes number #A mod m."""
+    tally = 0
+    for pts in classes:
+        if len(pts) >= m:
+            rep = check_m_to_1(f.restrict(pts), m)
+            if not rep.verdict:
+                return False
+            tally += len(rep.exceptional_set)
+        else:
+            tally += len(pts)
+    return tally == len(f) % m
+
+
+def _fiber_size_scan(sq, m1, maps):
+    """The construction-2 fiber hypotheses: lam is onto S, #lam^-1(s) =
+    m1 * #lambar^-1(fbar(s)), and each (name, mapping) in maps is m1-to-1 on
+    every lam fiber.  Returns the lam fibers."""
+    lam_fibers = _fibers_of(sq.lam, sq.a_points)
+    if set(lam_fibers.keys()) != set(sq.s_points):
+        raise HypothesisError("lam is not surjective onto S")
+    lambar_fibers = _fibers_of(sq.lambar, sq.abar_points)
+    for s in sq.s_points:
+        down = len(lambar_fibers.get(sq.fbar[s], ()))
+        pts = lam_fibers[s]
+        if len(pts) != m1 * down:
+            raise HypothesisError(
+                f"fiber size mismatch at s={s!r}: {len(pts)} != {m1}*{down}")
+        for name, mapping in maps:
+            if not check_m_to_1(mapping.restrict(pts), m1).verdict:
+                raise HypothesisError(
+                    f"{name} is not {m1}-to-1 on lam^-1({s!r})")
+    return lam_fibers
+
+
 # -- the generalized local criterion ------------------------------------------
 
 def local_criterion_check(f, psi, m):
@@ -197,19 +234,7 @@ def local_criterion_check(f, psi, m):
     classes = _fibers_of(phi, f.domain)
 
     lhs = check_m_to_1(f, m).verdict
-
-    tally = 0
-    per_class_ok = True
-    for pts in classes.values():
-        if len(pts) >= m:
-            rep = check_m_to_1(f.restrict(pts), m)
-            if not rep.verdict:
-                per_class_ok = False
-                break
-            tally += len(rep.exceptional_set)
-        else:
-            tally += len(pts)
-    rhs = per_class_ok and tally == size % m
+    rhs = _per_class_side(f, classes.values(), m)
     return CriterionReport(lhs, rhs, {"m": m, "classes": len(classes)})
 
 
@@ -227,20 +252,7 @@ def construction1_verdict(sq, m):
         raise ValueError(f"m must be in [1, {size}], got {m}")
 
     lhs = check_m_to_1(f, m).verdict
-
-    fibers = _fibers_of(sq.lam, sq.a_points)
-    tally = 0
-    per_fiber_ok = True
-    for pts in fibers.values():
-        if len(pts) >= m:
-            rep = check_m_to_1(f.restrict(pts), m)
-            if not rep.verdict:
-                per_fiber_ok = False
-                break
-            tally += len(rep.exceptional_set)
-        else:
-            tally += len(pts)
-    rhs = per_fiber_ok and tally == size % m
+    rhs = _per_class_side(f, _fibers_of(sq.lam, sq.a_points).values(), m)
     return CriterionReport(lhs, rhs, {"m": m})
 
 
@@ -250,20 +262,9 @@ def construction2_verdict(sq, m1, m):
     """Requires lam surjective, #lam^-1(s) = m1 * #lambar^-1(fbar(s)), and f
     m1-to-1 on every lam fiber.  rhs: m1 | m, fbar (m/m1)-to-1 on S, and the
     lam-fiber sum over E_fbar(S) equals #A mod m."""
-    lam_fibers = _fibers_of(sq.lam, sq.a_points)
-    if set(lam_fibers.keys()) != set(sq.s_points):
-        raise HypothesisError("lam is not surjective onto S")
-    lambar_fibers = _fibers_of(sq.lambar, sq.abar_points)
     f = sq.f_mapping()
     size = len(f)
-    for s in sq.s_points:
-        down = len(lambar_fibers.get(sq.fbar[s], ()))
-        pts = lam_fibers[s]
-        if len(pts) != m1 * down:
-            raise HypothesisError(
-                f"fiber size mismatch at s={s!r}: {len(pts)} != {m1}*{down}")
-        if not check_m_to_1(f.restrict(pts), m1).verdict:
-            raise HypothesisError(f"f is not {m1}-to-1 on lam^-1({s!r})")
+    lam_fibers = _fiber_size_scan(sq, m1, (("f", f),))
     if not 1 <= m <= m1 * len(sq.s_points):
         raise HypothesisError(
             f"m must be in [1, m1*#S] = [1, {m1 * len(sq.s_points)}], got {m}")
@@ -329,19 +330,7 @@ def construction3_verdict(group, sq, u, variant, m, m1=None):
     elif variant == 2:
         if m1 is None:
             raise HypothesisError("variant 2 needs m1")
-        lam_fibers = _fibers_of(sq.lam, sq.a_points)
-        if set(lam_fibers.keys()) != set(sq.s_points):
-            raise HypothesisError("lam is not surjective onto S")
-        lambar_fibers = _fibers_of(sq.lambar, sq.abar_points)
-        for s in sq.s_points:
-            pts = lam_fibers[s]
-            down = len(lambar_fibers.get(sq.fbar[s], ()))
-            if len(pts) != m1 * down:
-                raise HypothesisError(f"fiber size mismatch at s={s!r}")
-            if not check_m_to_1(f_map.restrict(pts), m1).verdict:
-                raise HypothesisError(f"f is not {m1}-to-1 on lam^-1({s!r})")
-            if not check_m_to_1(fu.restrict(pts), m1).verdict:
-                raise HypothesisError(f"f*u is not {m1}-to-1 on lam^-1({s!r})")
+        _fiber_size_scan(sq, m1, (("f", f_map), ("f*u", fu)))
         if not 1 <= m <= m1 * len(sq.s_points):
             raise HypothesisError(f"m out of range: {m}")
     else:

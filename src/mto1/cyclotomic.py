@@ -418,23 +418,30 @@ def permutes_field(form):
     return len(set(logs)) == len(logs)  # 0 -> 0 is automatic
 
 
+def _twist_identity_scan(form, M, eps, t, e, text):
+    """Raise unless eps * x^t * M(x)^e = 1 at every x in U_ell; text names
+    the identity in the error, which carries the first failing point."""
+    spec = form.spec
+    q1 = spec.q - 1
+    elog = spec.log[eps.index]
+    for j in range(form.ell):
+        a = spec.exp_at(j * form.s)
+        mv = M.eval_index(a)
+        if mv == 0 or (elog + t * (j * form.s) + e * spec.log[mv]) % q1:
+            witness = FieldElement(spec, a)
+            raise HypothesisError(f"{text} != 1 at x = {witness}")
+
+
 def lift_from_permutation(form, M, eps, t, k):
     """From f permuting F_q and eps * x^t * M(x)^s = 1 on U_ell, build
     F = x^(kt) M(x^s)^k f(x) and record its predicted multiplicity
     (r + kt, s), verified by brute force."""
     spec = form.spec
-    q1 = spec.q - 1
     if not permutes_field(form):
         raise HypothesisError("f does not permute F_q")
     if eps.spec != spec or eps.is_zero:
         raise HypothesisError("eps must be a nonzero field element")
-    elog = spec.log[eps.index]
-    for j in range(form.ell):
-        a = spec.exp_at(j * form.s)
-        mv = M.eval_index(a)
-        if mv == 0 or (elog + t * (j * form.s) + form.s * spec.log[mv]) % q1:
-            witness = FieldElement(spec, a)
-            raise HypothesisError(f"eps*x^t*M(x)^s != 1 at x = {witness}")
+    _twist_identity_scan(form, M, eps, t, form.s, "eps*x^t*M(x)^s")
     if k < 1:
         raise HypothesisError(f"k must be a positive integer, got {k}")
     lifted = CycloForm(spec, form.r + k * t, form.s, M ** k * form.h)
@@ -448,7 +455,6 @@ def transfer_equivalence(form, M, eps, t, k, m):
     under (r,s) | t, (r+kt, s) = (r,s), and eps * x^(t/m1) * M(x)^(s/m1) = 1
     on U_ell with eps in U_(ell*m1).  Both sides are computed by brute force."""
     spec = form.spec
-    q1 = spec.q - 1
     m1 = form.m1
     if t % m1:
         raise HypothesisError(f"(r, s) = {m1} must divide t = {t}")
@@ -458,15 +464,8 @@ def transfer_equivalence(form, M, eps, t, k, m):
         raise HypothesisError("eps must be a nonzero field element")
     if spec.pow(eps.index, form.ell * m1) != 1:
         raise HypothesisError("eps must lie in U_(ell*m1)")
-    elog = spec.log[eps.index]
-    t1, s1 = t // m1, form.s1
-    for j in range(form.ell):
-        a = spec.exp_at(j * form.s)
-        mv = M.eval_index(a)
-        if mv == 0 or (elog + t1 * (j * form.s) + s1 * spec.log[mv]) % q1:
-            witness = FieldElement(spec, a)
-            raise HypothesisError(
-                f"eps*x^(t/m1)*M(x)^(s/m1) != 1 at x = {witness}")
+    _twist_identity_scan(form, M, eps, t // m1, form.s1,
+                         "eps*x^(t/m1)*M(x)^(s/m1)")
     if not 1 <= m <= form.ell * m1:
         raise ValueError(f"m out of range [1, {form.ell * m1}]: {m}")
     lifted = CycloForm(spec, form.r + k * t, form.s, M ** k * form.h)

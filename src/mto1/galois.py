@@ -328,11 +328,6 @@ class FieldSpec:
         """F_q^* ordered by discrete log."""
         return [FieldElement(self, self.exp[k]) for k in range(self.q - 1)]
 
-    def sort_key(self, x):
-        """Canonical report order: zero first, nonzero by discrete log."""
-        i = x.index if isinstance(x, FieldElement) else x
-        return -1 if i == 0 else self.log[i]
-
     def __eq__(self, other):
         if not isinstance(other, FieldSpec):
             return NotImplemented
@@ -696,12 +691,6 @@ class Poly:
         ci = c.index if isinstance(c, FieldElement) else int(c) % self.spec.p
         spec = self.spec
         return Poly(spec, [spec.mul(ci, a) for a in self.coeffs])
-
-    def shifted(self, k):
-        """x^k * self."""
-        if self.is_zero:
-            return self
-        return Poly(self.spec, (0,) * k + self.coeffs)
 
     def of_power(self, k):
         """self(x^k)."""

@@ -16,11 +16,13 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from multiprocessing import Pool, cpu_count
 
 from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
-                       construction1_verdict, construction2_verdict,
-                       construction3_verdict, local_criterion_check)
+                       _fibers_of, construction1_verdict,
+                       construction2_verdict, construction3_verdict,
+                       local_criterion_check)
 from .cyclotomic import (CycloForm, brute_verdict_star, decompose,
                          hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
                          lift_from_permutation, monomial_predict,
@@ -112,13 +114,30 @@ def _record(params, predicted, observed, skipped=None, exceptional=None):
             "agree": agree, "skipped": skipped, "exceptional_set": exceptional}
 
 
-def _grid_record(params, checked, bad, skips=0):
-    params = dict(params)
-    params["checked"] = checked
-    if skips:
-        params["hypothesis_skips"] = skips
-    return _record(params, predicted="all-agree",
-                   observed="all-agree" if not bad else bad)
+class _Tally:
+    """Bookkeeping of one grid evaluator: checks run, hypothesis skips, and
+    the detail of every failed check, folded into one grid record."""
+
+    __slots__ = ("checked", "skipped", "bad")
+
+    def __init__(self):
+        self.checked = 0
+        self.skipped = 0
+        self.bad = []
+
+    def check(self, ok):
+        """Count one check and return ok, so that a caller builds its
+        failure detail only when the check fails."""
+        self.checked += 1
+        return ok
+
+    def record(self, params):
+        params = dict(params)
+        params["checked"] = self.checked
+        if self.skipped:
+            params["hypothesis_skips"] = self.skipped
+        return _record(params, predicted="all-agree",
+                       observed="all-agree" if not self.bad else self.bad)
 
 
 @evaluator("count")
@@ -139,8 +158,7 @@ def _eval_main_grid(params):
     mcap = params.get("mcap", 16)
     rmax = params.get("rmax", 2 * s)
     q1 = spec.q - 1
-    checked = 0
-    bad = []
+    tally = _Tally()
     for r in range(1, rmax + 1):
         form = CycloForm(spec, r, s, h)
         dec = decompose(form, verify=(r == 1))
@@ -148,12 +166,11 @@ def _eval_main_grid(params):
         for m in range(1, min(dec.ell * dec.m1, mcap) + 1):
             predicted = predict_from(dec, m).verdict
             observed = verdict_from_histogram(fib, q1, m)
-            checked += 1
-            if predicted != observed:
-                bad.append({"r": r, "m": m, "predicted": predicted,
-                            "observed": observed})
-    return [_grid_record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h), "rmax": rmax}, checked, bad)]
+            if not tally.check(predicted == observed):
+                tally.bad.append({"r": r, "m": m, "predicted": predicted,
+                                  "observed": observed})
+    return [tally.record({"field": list(params["field"][:2]), "s": s,
+                          "h": str(h), "rmax": rmax})]
 
 
 @evaluator("main_fixture")
@@ -181,8 +198,7 @@ def _eval_small_m(params):
     h = Poly(spec, params["h"])
     m = params["m"]
     q1 = spec.q - 1
-    bad = []
-    checked = 0
+    tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
         form = CycloForm(spec, r, s, h)
         case_verdict, _ = small_m_predict(form, m)
@@ -190,12 +206,11 @@ def _eval_small_m(params):
         main_verdict = (predict_from(dec, m).verdict
                         if m <= dec.ell * dec.m1 else False)
         observed = verdict_from_histogram(star_fibers(form), q1, m)
-        checked += 1
-        if not case_verdict == main_verdict == observed:
-            bad.append({"r": r, "case": case_verdict, "main": main_verdict,
-                        "oracle": observed})
-    return [_grid_record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h), "m": m}, checked, bad)]
+        if not tally.check(case_verdict == main_verdict == observed):
+            tally.bad.append({"r": r, "case": case_verdict,
+                              "main": main_verdict, "oracle": observed})
+    return [tally.record({"field": list(params["field"][:2]), "s": s,
+                          "h": str(h), "m": m})]
 
 
 @evaluator("small_m_corollary")
@@ -207,8 +222,7 @@ def _eval_small_m_corollary(params):
     s = (q - 1) // 3
     w = spec.exp_at((q - 1) // 3)
     wsq = spec.mul(w, w)
-    bad = []
-    checked = 0
+    tally = _Tally()
     for a_idx in range(q):
         a = FieldElement(spec, a_idx)
         if a == spec.one or a == -spec.element(2):
@@ -222,11 +236,10 @@ def _eval_small_m_corollary(params):
             cond = (math.gcd(r, s) == 2 and r % 6 in (2, 4)
                     and val not in (w, wsq))
             observed = verdict_from_histogram(star_fibers(form), q - 1, 2)
-            checked += 1
-            if cond != observed:
-                bad.append({"a": str(a), "r": r, "cond": cond,
-                            "oracle": observed})
-    return [_grid_record({"field": list(params["field"][:2])}, checked, bad)]
+            if not tally.check(cond == observed):
+                tally.bad.append({"a": str(a), "r": r, "cond": cond,
+                                  "oracle": observed})
+    return [tally.record({"field": list(params["field"][:2])})]
 
 
 @evaluator("small_ell")
@@ -237,8 +250,7 @@ def _eval_small_ell(params):
     h = Poly(spec, params["h"])
     q1 = spec.q - 1
     ell = q1 // s
-    bad = []
-    checked = 0
+    tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
         form = CycloForm(spec, r, s, h)
         dec = decompose(form, verify=False)
@@ -247,12 +259,11 @@ def _eval_small_ell(params):
             case_verdict, _ = small_ell_predict(form, m)
             main_verdict = predict_from(dec, m).verdict
             observed = verdict_from_histogram(fib, q1, m)
-            checked += 1
-            if not case_verdict == main_verdict == observed:
-                bad.append({"r": r, "m": m, "case": case_verdict,
-                            "main": main_verdict, "oracle": observed})
-    return [_grid_record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h)}, checked, bad)]
+            if not tally.check(case_verdict == main_verdict == observed):
+                tally.bad.append({"r": r, "m": m, "case": case_verdict,
+                                  "main": main_verdict, "oracle": observed})
+    return [tally.record({"field": list(params["field"][:2]), "s": s,
+                          "h": str(h)})]
 
 
 @evaluator("ell2_corollary")
@@ -263,8 +274,7 @@ def _eval_ell2_corollary(params):
     q = spec.q
     s = (q - 1) // 2
     minus_one = spec.neg(1)
-    bad = []
-    checked = 0
+    tally = _Tally()
     for a_idx in range(q):
         if a_idx == 1 or a_idx == minus_one:
             continue
@@ -283,11 +293,10 @@ def _eval_ell2_corollary(params):
                 sign2 = minus_one if (r // 2) % 2 else 1
                 cond = v2 != sign2
             observed = verdict_from_histogram(star_fibers(form), q - 1, 2)
-            checked += 1
-            if cond != observed:
-                bad.append({"a": str(a), "r": r, "cond": cond,
-                            "oracle": observed})
-    return [_grid_record({"field": list(params["field"][:2])}, checked, bad)]
+            if not tally.check(cond == observed):
+                tally.bad.append({"a": str(a), "r": r, "cond": cond,
+                                  "oracle": observed})
+    return [tally.record({"field": list(params["field"][:2])})]
 
 
 @evaluator("monomial_grid")
@@ -302,8 +311,7 @@ def _eval_monomial_grid(params):
     t = (q + 1) // math.gcd(d, q + 1)
     m1 = math.gcd(r, q - 1)
     q2_1 = spec.q - 1
-    bad = []
-    checked = 0
+    tally = _Tally()
     tried = 0
     for a_i in unit_subgroup_points(spec):
         if spec.pow(a_i, t) == 1:
@@ -321,15 +329,14 @@ def _eval_monomial_grid(params):
             observed = verdict_from_histogram(fib, q2_1, m)
             closed = (m % m1 == 0
                       and math.gcd(r // m1 - k * d, q + 1) == m // m1)
-            checked += 1
-            if not mono == main_v == observed == closed:
-                bad.append({"a": str(a), "m": m, "mono": mono,
-                            "main": main_v, "oracle": observed,
-                            "closed_form": closed})
+            if not tally.check(mono == main_v == observed == closed):
+                tally.bad.append({"a": str(a), "m": m, "mono": mono,
+                                  "main": main_v, "oracle": observed,
+                                  "closed_form": closed})
     if tried == 0:
         return [_record({"q": q, "d": d, "k": k, "r": r}, None, None,
                         skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
-    return [_grid_record({"q": q, "d": d, "k": k, "r": r}, checked, bad)]
+    return [tally.record({"q": q, "d": d, "k": k, "r": r})]
 
 
 @evaluator("hd_root_lemma")
@@ -339,19 +346,17 @@ def _eval_hd_root_lemma(params):
     base_q = params["base_q"]
     dmax, emax = params.get("dmax", 12), params.get("emax", 12)
     q1 = spec.q - 1
-    bad = []
-    checked = 0
+    tally = _Tally()
     for ell in _divisors(q1):
         for d in range(1, dmax + 1):
             for e in range(1, emax + 1):
                 g = hd_rootless_gcd(d, e, ell, base_q)
                 sc = hd_rootless_scan(spec, d, e, ell)
-                checked += 1
-                if g != sc:
-                    bad.append({"ell": ell, "d": d, "e": e, "gcd": g,
-                                "scan": sc})
-    return [_grid_record({"field": list(params["field"][:2]),
-                          "base_q": base_q}, checked, bad)]
+                if not tally.check(g == sc):
+                    tally.bad.append({"ell": ell, "d": d, "e": e, "gcd": g,
+                                      "scan": sc})
+    return [tally.record({"field": list(params["field"][:2]),
+                          "base_q": base_q})]
 
 
 @evaluator("hd_family")
@@ -360,9 +365,7 @@ def _eval_hd_family(params):
     spec = _field(tuple(params["field"]))
     base_degree = params["base_degree"]
     q1 = spec.q - 1
-    bad = []
-    checked = 0
-    skipped = 0
+    tally = _Tally()
     for s in _divisors(q1):
         ell = q1 // s
         for d in range(1, params.get("dmax", 6) + 1):
@@ -376,20 +379,20 @@ def _eval_hd_family(params):
                                 rec = hd_family_predict(
                                     spec, base_degree, r, s, d, e, t, m)
                             except HypothesisError:
-                                skipped += 1
+                                tally.skipped += 1
                                 continue
                             observed = brute_verdict_star(rec["form"], m)
-                            checked += 1
-                            if (rec["predicted"] != observed
-                                    or rec["hd_rootless_gcd"]
-                                    != rec["hd_rootless_scan"]):
-                                bad.append({"s": s, "d": d, "e": e, "t": t,
-                                            "r": r, "m": m,
-                                            "case": rec["case"],
-                                            "predicted": rec["predicted"],
-                                            "oracle": observed})
-    return [_grid_record({"field": list(params["field"][:2]),
-                          "base_degree": base_degree}, checked, bad, skipped)]
+                            if not tally.check(
+                                    rec["predicted"] == observed
+                                    and rec["hd_rootless_gcd"]
+                                    == rec["hd_rootless_scan"]):
+                                tally.bad.append({
+                                    "s": s, "d": d, "e": e, "t": t, "r": r,
+                                    "m": m, "case": rec["case"],
+                                    "predicted": rec["predicted"],
+                                    "oracle": observed})
+    return [tally.record({"field": list(params["field"][:2]),
+                          "base_degree": base_degree})]
 
 
 def _conforming_twist(spec, s, m1, rng):
@@ -416,9 +419,7 @@ def _eval_lift(params):
     spec = _field(tuple(params["field"]))
     rng = _rng(params["seed"])
     q1 = spec.q - 1
-    bad = []
-    checked = 0
-    skipped = 0
+    tally = _Tally()
     for _ in range(params.get("draws", 30)):
         s = rng.choice(_divisors(q1))
         ell = q1 // s
@@ -433,7 +434,7 @@ def _eval_lift(params):
                 form = cand
                 break
         if form is None:
-            skipped += 1
+            tally.skipped += 1
             continue
         eps = spec.one
         M, t = _conforming_twist(spec, s, 1, rng)  # (r, s) = 1 for permutations
@@ -441,12 +442,11 @@ def _eval_lift(params):
             lifted = lift_from_permutation(form, M, eps, t,
                                            rng.randrange(1, 4))
         except HypothesisError as err:
-            bad.append({"stage": "lift", "error": str(err)})
+            tally.bad.append({"stage": "lift", "error": str(err)})
             continue
-        checked += 1
-        if not lifted["verified"]:
-            bad.append({"stage": "lift", "r": form.r, "s": s,
-                        "m": lifted["m"]})
+        if not tally.check(lifted["verified"]):
+            tally.bad.append({"stage": "lift", "r": form.r, "s": s,
+                              "m": lifted["m"]})
         # transfer equivalence on an arbitrary base form, any m1 = (r2, s)
         r2 = rng.randrange(1, 2 * s + 1)
         h2 = random_rootless_poly(spec, s, rng.randrange(0, 4), rng)
@@ -454,15 +454,14 @@ def _eval_lift(params):
         M2, t2 = _conforming_twist(spec, s, base.m1, rng)
         k = rng.randrange(1, 4)
         if math.gcd(base.r + k * t2, s) != base.m1:
-            skipped += 1
+            tally.skipped += 1
             continue
         for m in range(1, min(ell * base.m1, 10) + 1):
             rec = transfer_equivalence(base, M2, eps, t2, k, m)
-            checked += 1
-            if not rec["agree"]:
-                bad.append({"stage": "transfer", "r": base.r, "s": s, "m": m})
-    return [_grid_record({"field": list(params["field"][:2])},
-                         checked, bad, skipped)]
+            if not tally.check(rec["agree"]):
+                tally.bad.append({"stage": "transfer", "r": base.r, "s": s,
+                                  "m": m})
+    return [tally.record({"field": list(params["field"][:2])})]
 
 
 @evaluator("g3")
@@ -470,22 +469,20 @@ def _eval_g3(params):
     spec = _field(tuple(params["field"]))
     trinomials = params.get("trinomials", True)
     _, half = quadratic_base(spec)
-    bad = []
-    checked = 0
+    tally = _Tally()
     for ci in subfield_indices(spec, half):
         if ci == 0:
             continue
         rec = g3_family(spec, FieldElement(spec, ci), trinomials=trinomials)
-        checked += 1
         ok = rec["g_verdict"] and rec.get("g1_verdict", True)
         if trinomials:
             ok = ok and all(
                 rec[f"{nm}_{w}_predicted"] == rec[f"{nm}_{w}_observed"]
                 for nm in ("f_a", "f_b") for w in ("1to1", "3to1"))
-        if not ok:
-            bad.append({"c": str(FieldElement(spec, ci))})
-    return [_grid_record({"field": list(params["field"][:2]),
-                          "trinomials": trinomials}, checked, bad)]
+        if not tally.check(ok):
+            tally.bad.append({"c": str(FieldElement(spec, ci))})
+    return [tally.record({"field": list(params["field"][:2]),
+                          "trinomials": trinomials})]
 
 
 @evaluator("g5")
@@ -529,9 +526,7 @@ def _eval_transfer_q2(params):
     spec = _field(tuple(params["field"]))
     base = params["base"]
     _, half = quadratic_base(spec)
-    bad = []
-    checked = 0
-    skipped = 0
+    tally = _Tally()
     cs = ([FieldElement(spec, i) for i in subfield_indices(spec, half) if i]
           if base == "f3" else [None])
     for c in cs:
@@ -540,17 +535,15 @@ def _eval_transfer_q2(params):
                 try:
                     rec = transfer_families(spec, base, c=c, d=d, k=k)
                 except HypothesisError:
-                    skipped += 1
+                    tally.skipped += 1
                     continue
-                checked += 1
                 if base == "f3":
-                    if not (rec["predicted"] == rec["observed"]
-                            == rec["base_observed"]):
-                        bad.append({"c": str(c), "d": d, "k": k})
-                elif not rec["agree"]:
-                    bad.append({"d": d, "k": k})
-    return [_grid_record({"field": list(params["field"][:2]), "base": base},
-                         checked, bad, skipped)]
+                    if not tally.check(rec["predicted"] == rec["observed"]
+                                       == rec["base_observed"]):
+                        tally.bad.append({"c": str(c), "d": d, "k": k})
+                elif not tally.check(rec["agree"]):
+                    tally.bad.append({"d": d, "k": k})
+    return [tally.record({"field": list(params["field"][:2]), "base": base})]
 
 
 # -- tower draws ----------------------------------------------------------------
@@ -592,10 +585,9 @@ def _eval_tower_batch(params):
     fam = params["family"]
     rng = _rng(params["seed"])
     q, half = quadratic_base(spec)
-    bad = []
+    tally = _Tally()
+    bad = tally.bad
     cond_mismatch = []
-    checked = 0
-    hyp_skips = 0
     for _ in range(params["draws"]):
         n = rng.randrange(1, q + 3)
         m1 = rng.choice(_divisors(q - 1))
@@ -604,82 +596,65 @@ def _eval_tower_batch(params):
             if gamma.is_zero and delta.is_zero:
                 continue
             inner = unit_pair_deg1(spec, gamma, delta)
-            inner_cond = _norm_neq(spec, gamma, delta)
+            cond = _norm_neq(spec, gamma, delta)
             if fam == "r1l1":
                 alpha, beta = _rand_elt(spec, rng), _rand_elt(spec, rng)
                 outer = unit_pair_deg1(spec, alpha, beta)
-                outer_cond = _norm_neq(spec, alpha, beta)
+                cond = cond and _norm_neq(spec, alpha, beta)
                 target = n
             else:
                 ci = rng.choice(subfield_indices(spec, half)[1:])
                 c = FieldElement(spec, ci)
                 outer = unit_pair_g3(spec, c)
-                outer_cond = base_trace(spec, spec.one + spec.one / c).is_zero
+                cond = cond and base_trace(spec,
+                                           spec.one + spec.one / c).is_zero
                 target = 3 * n
-            r = _pick_r(rng, q, m1, target)
-            if r is None:
-                hyp_skips += 1
-                continue
-            m = (m1 * math.gcd(n, q + 1) if rng.random() < 0.5
-                 else rng.randrange(1, m1 * (q + 1) + 1))
-            rec = tower_unit_predict(spec, inner, outer, n, r, m)
-            cond = inner_cond and outer_cond
-        elif fam in ("fq_r1l1", "rk"):
+        else:  # the towers through F_q + {INF}: fq_r1l1, rk, gbar
             gamma = _rand_elt(spec, rng, nonzero=True)
             delta = _rand_elt(spec, rng, nonzero=True)
             pair = line_pair_deg1(spec, gamma, delta)
-            pair_cond = _ratio_neq(spec, gamma, delta, q)
             alpha = _rand_elt(spec, rng, nonzero=True)
             beta = _rand_elt(spec, rng, nonzero=True)
-            n_cond = _ratio_neq(spec, alpha, beta, q)
-            if fam == "fq_r1l1":
-                N = line_poly_deg1(spec, alpha, beta)
-                target = n
-                cond = pair_cond and n_cond
-            else:
+            cond = (_ratio_neq(spec, gamma, delta, q)
+                    and _ratio_neq(spec, alpha, beta, q))
+            if fam == "rk":
                 k = rng.randrange(1, q + 2)
                 if math.gcd(k, q + 1) != 1:
-                    hyp_skips += 1
+                    tally.skipped += 1
                     continue
                 g2, d2 = _rand_elt(spec, rng), _rand_elt(spec, rng)
                 N = line_poly_rk(spec, alpha, beta, g2, d2, k)
                 if N.is_zero or N.degree != k:
-                    hyp_skips += 1
+                    tally.skipped += 1
                     continue
                 target = n * k
-                cond = pair_cond and n_cond and _norm_neq(spec, g2, d2)
-            r = _pick_r(rng, q, m1, target)
-            if r is None:
-                hyp_skips += 1
-                continue
+                cond = cond and _norm_neq(spec, g2, d2)
+            else:
+                N = line_poly_deg1(spec, alpha, beta)
+                target = 3 if fam == "gbar" else n
+            if fam == "gbar":
+                pole = _rand_elt(spec, rng)
+                cond = cond and frob_q(spec, pole) != pole
+        r = _pick_r(rng, q, m1, target)
+        if r is None:
+            tally.skipped += 1
+            continue
+        if fam in ("r1l1", "r3"):
+            m = (m1 * math.gcd(n, q + 1) if rng.random() < 0.5
+                 else rng.randrange(1, m1 * (q + 1) + 1))
+            rec = tower_unit_predict(spec, inner, outer, n, r, m)
+        elif fam == "gbar":
+            rec = tower_gbar_predict(spec, pair, N, pole, r)
+        else:
             m = (m1 if rng.random() < 0.5
                  else rng.randrange(1, m1 * (q + 1) + 1))
             rec = tower_line_predict(spec, pair, N, n, r, m)
-            if fam == "rk" and cond and rec["failed"] == "H has roots in U":
-                # H rootlessness is itself a hypothesis of the Rk corollary
-                hyp_skips += 1
-                continue
-        else:  # gbar
-            gamma = _rand_elt(spec, rng, nonzero=True)
-            delta = _rand_elt(spec, rng, nonzero=True)
-            pair = line_pair_deg1(spec, gamma, delta)
-            pair_cond = _ratio_neq(spec, gamma, delta, q)
-            a2 = _rand_elt(spec, rng, nonzero=True)
-            b2 = _rand_elt(spec, rng, nonzero=True)
-            N = line_poly_deg1(spec, a2, b2)
-            n_cond = _ratio_neq(spec, a2, b2, q)
-            alpha = _rand_elt(spec, rng)
-            alpha_cond = frob_q(spec, alpha) != alpha
-            r = _pick_r(rng, q, m1, 3)
-            if r is None:
-                hyp_skips += 1
-                continue
-            rec = tower_gbar_predict(spec, pair, N, alpha, r)
-            cond = pair_cond and n_cond and alpha_cond
-            if cond and rec["failed"] == "H has roots in U":
-                hyp_skips += 1
-                continue
-        checked += 1
+        if (fam in ("rk", "gbar") and cond
+                and rec["failed"] == "H has roots in U"):
+            # H rootlessness is itself a hypothesis of these two corollaries
+            tally.skipped += 1
+            continue
+        tally.checked += 1
         if rec["hypotheses_ok"] != cond:
             cond_mismatch.append({"family": fam, "failed": rec["failed"],
                                   "cond": cond, "params": rec["params"]})
@@ -687,11 +662,11 @@ def _eval_tower_batch(params):
             bad.append({"family": fam, "params": rec["params"],
                         "predicted": rec["predicted"],
                         "observed": rec["observed"]})
-    issues = ([] if not bad and not cond_mismatch else
-              {"disagreements": bad, "condition_mismatches": cond_mismatch})
-    return [_grid_record({"field": list(params["field"][:2]), "family": fam,
-                          "draws": params["draws"]},
-                         checked, issues, hyp_skips)]
+    if bad or cond_mismatch:
+        tally.bad = {"disagreements": bad,
+                     "condition_mismatches": cond_mismatch}
+    return [tally.record({"field": list(params["field"][:2]), "family": fam,
+                          "draws": params["draws"]})]
 
 
 # -- randomized abstract-criteria models ------------------------------------------
@@ -723,9 +698,7 @@ def random_construction1_square(rng, max_size=12):
     Abar = [f"b{i}" for i in range(nabar)]
     lambar = {b: (Sbar[i] if i < nsbar else rng.choice(Sbar))
               for i, b in enumerate(Abar)}
-    fibers = {}
-    for b, sb in lambar.items():
-        fibers.setdefault(sb, []).append(b)
+    fibers = _fibers_of(lambar, Abar)
     f = {a: rng.choice(fibers[fbar[lam[a]]]) for a in A}
     sq = CommutativeSquare(A, Abar, S, Sbar, f, fbar, lam, lambar)
     return sq, rng.randrange(1, na + 1)
@@ -767,9 +740,7 @@ def random_construction3_model(rng, variant, max_n=12):
     dd = rng.choice(_divisors(nn))
     lambar = {a: (a * dd) % nn for a in A}
     Sbar = sorted(set(lambar.values()))
-    fibers = {}
-    for a in A:
-        fibers.setdefault(lambar[a], []).append(a)
+    fibers = _fibers_of(lambar, A)
     if variant == 1:
         ns = rng.randrange(1, min(6, nn + 1))
         if ns > len(Sbar):
@@ -823,10 +794,9 @@ def _eval_criteria_batch(params):
     kind = params["kind"]
     rng = _rng(params["seed"])
     count = params["count"]
-    bad = []
-    done = 0
+    tally = _Tally()
     attempts = 0
-    while done < count and attempts < 80 * count:
+    while tally.checked < count and attempts < 80 * count:
         attempts += 1
         try:
             if kind == "local":
@@ -840,27 +810,21 @@ def _eval_criteria_batch(params):
                 if inst is None:
                     continue
                 rep = construction2_verdict(inst[0], inst[1], inst[2])
-            elif kind == "c3v1":
-                inst = random_construction3_model(rng, 1)
+            elif kind in ("c3v1", "c3v2"):
+                variant = int(kind[-1])
+                inst = random_construction3_model(rng, variant)
                 if inst is None:
                     continue
-                group, sq, u, m, _ = inst
-                rep = construction3_verdict(group, sq, u, 1, m)
-            elif kind == "c3v2":
-                inst = random_construction3_model(rng, 2)
-                if inst is None:
-                    continue
-                group, sq, u, m, m1 = inst
-                rep = construction3_verdict(group, sq, u, 2, m, m1)
+                group, sq, u, m, m1 = inst  # m1 is None for variant 1
+                rep = construction3_verdict(group, sq, u, variant, m, m1)
             else:
                 raise ValueError(f"unknown criteria kind {kind!r}")
         except HypothesisError:
             continue
-        done += 1
-        if not rep.agree:
-            bad.append({"kind": kind, "instance": done, "lhs": rep.lhs,
-                        "rhs": rep.rhs})
-    return [_grid_record({"kind": kind, "seed": params["seed"]}, done, bad)]
+        if not tally.check(rep.agree):
+            tally.bad.append({"kind": kind, "instance": tally.checked,
+                              "lhs": rep.lhs, "rhs": rep.rhs})
+    return [tally.record({"kind": kind, "seed": params["seed"]})]
 
 
 # ---------------------------------------------------------------------------
@@ -889,141 +853,173 @@ def paper_square_f29():
 # family -> instance list, and the runner
 # ---------------------------------------------------------------------------
 
-def build_instances(job):
-    """Expand a VerifyJob into (evaluator, params) work items."""
-    fam = job.family
-    o = job.options
-    seed = job.seed
-    out = []
-    if fam == "count":
-        for q in o.get("qs", (2, 3, 4, 5)):
-            out.append(("count", {"q": q}))
-    elif fam == "main":
-        hcount = o.get("hcount", 25)
-        degmax = o.get("degmax", 5)
-        for q in o.get("qs", MAIN_GRID_Q):
-            fk = _field_key_for_q(q)
-            spec = _field(fk)
-            for s in _divisors(q - 1):
-                rng = _rng(seed, "main", q, s)
-                seen = set()
-                while len(seen) < hcount:
-                    h = random_rootless_poly(spec, s, degmax, rng)
-                    if h.coeffs in seen:
-                        continue
-                    seen.add(h.coeffs)
-                    out.append(("main_grid",
-                                {"field": fk, "s": s, "h": list(h.coeffs),
-                                 "mcap": o.get("mcap", 16)}))
-        if o.get("fixtures", True):
-            out.append(("main_fixture",
-                        {"field": _fkey(29), "r": 2, "s": 4,
-                         "h": "1,0,0,15,1,1", "m": 12}))
-            out.append(("main_fixture",
-                        {"field": _fkey(2, 6, (1, 1, 0, 1, 1, 0, 1)),
-                         "r": 2, "s": 21, "h": "g^9,1", "m": 3}))
-    elif fam == "small":
-        hcount = o.get("hcount", 12)
-        for q in o.get("qs", MAIN_GRID_Q):
-            fk = _field_key_for_q(q)
-            spec = _field(fk)
-            for m in (2, 3):
-                for s in _divisors(q - 1):
-                    if s < 2 or (q - 1) // s < m:
-                        continue
-                    rng = _rng(seed, "small", q, s, m)
-                    for _ in range(hcount):
-                        h = random_rootless_poly(spec, s,
-                                                 o.get("degmax", 4), rng)
-                        out.append(("small_m",
-                                    {"field": fk, "s": s,
-                                     "h": list(h.coeffs), "m": m}))
-        for q in o.get("corollary_qs", (13, 19, 31)):
-            out.append(("small_m_corollary", {"field": _field_key_for_q(q)}))
-    elif fam == "ell":
-        hcount = o.get("hcount", 12)
-        for q in o.get("qs", MAIN_GRID_Q):
-            fk = _field_key_for_q(q)
-            spec = _field(fk)
-            for ell in (2, 3):
-                if (q - 1) % ell or (q - 1) // ell < 1:
+def _main_items(o, seed):
+    hcount = o.get("hcount", 25)
+    degmax = o.get("degmax", 5)
+    for q in o.get("qs", MAIN_GRID_Q):
+        fk = _field_key_for_q(q)
+        spec = _field(fk)
+        for s in _divisors(q - 1):
+            rng = _rng(seed, "main", q, s)
+            seen = set()
+            while len(seen) < hcount:
+                h = random_rootless_poly(spec, s, degmax, rng)
+                if h.coeffs in seen:
                     continue
-                s = (q - 1) // ell
-                rng = _rng(seed, "ell", q, ell)
+                seen.add(h.coeffs)
+                yield ("main_grid", {"field": fk, "s": s, "h": list(h.coeffs),
+                                     "mcap": o.get("mcap", 16)})
+    if o.get("fixtures", True):
+        yield ("main_fixture", {"field": _fkey(29), "r": 2, "s": 4,
+                                "h": "1,0,0,15,1,1", "m": 12})
+        yield ("main_fixture", {"field": _fkey(2, 6, (1, 1, 0, 1, 1, 0, 1)),
+                                "r": 2, "s": 21, "h": "g^9,1", "m": 3})
+
+
+def _small_items(o, seed):
+    hcount = o.get("hcount", 12)
+    for q in o.get("qs", MAIN_GRID_Q):
+        fk = _field_key_for_q(q)
+        spec = _field(fk)
+        for m in (2, 3):
+            for s in _divisors(q - 1):
+                if s < 2 or (q - 1) // s < m:
+                    continue
+                rng = _rng(seed, "small", q, s, m)
                 for _ in range(hcount):
                     h = random_rootless_poly(spec, s, o.get("degmax", 4), rng)
-                    out.append(("small_ell",
-                                {"field": fk, "s": s, "h": list(h.coeffs)}))
-        for q in o.get("corollary_qs", (13, 17, 25)):
-            out.append(("ell2_corollary", {"field": _field_key_for_q(q)}))
-    elif fam == "monomial":
-        for q in o.get("qs", Q2_GRID):
-            fk = _q2_field_key(q)
-            for d in range(1, o.get("dmax", q + 1) + 1):
-                for k in range(1, o.get("kmax", 4) + 1):
-                    for r in range(1, o.get("rmax", 12) + 1):
-                        out.append(("monomial_grid",
-                                    {"field": fk, "q": q, "d": d,
-                                     "k": k, "r": r}))
-    elif fam == "hd":
-        for q in o.get("scan_qs", (4, 8, 9, 16, 25, 27, 32, 49, 64)):
-            p, n, _ = _field_key_for_q(q)
-            out.append(("hd_root_lemma",
-                        {"field": _fkey(p, n), "base_q": p,
-                         "dmax": o.get("dmax", 12),
-                         "emax": o.get("emax", 12)}))
-        for base_q, n0 in o.get("towers", ((3, 2), (2, 4), (5, 2), (7, 2),
-                                           (2, 6), (3, 4))):
-            p, bd, _ = _field_key_for_q(base_q)
-            out.append(("hd_family",
-                        {"field": _fkey(p, bd * n0), "base_degree": bd}))
-    elif fam == "lift":
-        for q in o.get("qs", (9, 13, 16, 25)):
-            out.append(("lift", {"field": _field_key_for_q(q),
-                                 "seed": f"{seed}|lift|{q}",
-                                 "draws": o.get("draws", 30)}))
-    elif fam == "g3":
-        for n in o.get("ns", range(1, 9)):
-            out.append(("g3", {"field": _fkey(2, 2 * n),
-                               "trinomials": n <= o.get("trinomial_nmax", 5)}))
-    elif fam == "g5":
-        for n in o.get("ns", range(1, 9)):
-            out.append(("g5", {"field": _fkey(2, 2 * n)}))
-    elif fam == "split":
-        for n in o.get("ns", range(1, 9)):
-            out.append(("split", {"field": _fkey(2, 2 * n)}))
-    elif fam == "lemmas":
-        for n in o.get("ns", range(1, 9)):
-            out.append(("lemmas", {"field": _fkey(2, 2 * n)}))
-    elif fam == "transfer":
-        out.append(("transfer_q2", {"field": _fkey(2, 6), "base": "f3"}))
-        out.append(("transfer_q2", {"field": _fkey(2, 4), "base": "f5"}))
-    elif fam == "towers":
-        fams = o.get("families", ("r1l1", "r3", "rk", "fq_r1l1", "gbar"))
-        per = o.get("draws", 500)
-        chunk = o.get("chunk", 50)
-        for q in o.get("qs", Q2_GRID):
-            fk = _q2_field_key(q)
-            for tf in fams:
-                if tf in ("r3", "gbar") and q % 2:
-                    continue  # even-characteristic families
-                for i in range((per + chunk - 1) // chunk):
-                    out.append(("tower_batch",
-                                {"field": fk, "family": tf,
-                                 "draws": min(chunk, per - i * chunk),
-                                 "seed": f"{seed}|tower|{q}|{tf}|{i}"}))
-    elif fam == "criteria":
-        per = o.get("count", 2000)
-        chunk = o.get("chunk", 250)
-        for kind in o.get("kinds", ("local", "c1", "c2", "c3v1", "c3v2")):
+                    yield ("small_m", {"field": fk, "s": s,
+                                       "h": list(h.coeffs), "m": m})
+    for q in o.get("corollary_qs", (13, 19, 31)):
+        yield ("small_m_corollary", {"field": _field_key_for_q(q)})
+
+
+def _ell_items(o, seed):
+    hcount = o.get("hcount", 12)
+    for q in o.get("qs", MAIN_GRID_Q):
+        fk = _field_key_for_q(q)
+        spec = _field(fk)
+        for ell in (2, 3):
+            if (q - 1) % ell or (q - 1) // ell < 1:
+                continue
+            s = (q - 1) // ell
+            rng = _rng(seed, "ell", q, ell)
+            for _ in range(hcount):
+                h = random_rootless_poly(spec, s, o.get("degmax", 4), rng)
+                yield ("small_ell", {"field": fk, "s": s, "h": list(h.coeffs)})
+    for q in o.get("corollary_qs", (13, 17, 25)):
+        yield ("ell2_corollary", {"field": _field_key_for_q(q)})
+
+
+def _monomial_items(o, seed):
+    for q in o.get("qs", Q2_GRID):
+        fk = _q2_field_key(q)
+        for d in range(1, o.get("dmax", q + 1) + 1):
+            for k in range(1, o.get("kmax", 4) + 1):
+                for r in range(1, o.get("rmax", 12) + 1):
+                    yield ("monomial_grid", {"field": fk, "q": q, "d": d,
+                                             "k": k, "r": r})
+
+
+def _hd_items(o, seed):
+    for q in o.get("scan_qs", (4, 8, 9, 16, 25, 27, 32, 49, 64)):
+        p, n, _ = _field_key_for_q(q)
+        yield ("hd_root_lemma", {"field": _fkey(p, n), "base_q": p,
+                                 "dmax": o.get("dmax", 12),
+                                 "emax": o.get("emax", 12)})
+    for base_q, n0 in o.get("towers", ((3, 2), (2, 4), (5, 2), (7, 2),
+                                       (2, 6), (3, 4))):
+        p, bd, _ = _field_key_for_q(base_q)
+        yield ("hd_family", {"field": _fkey(p, bd * n0), "base_degree": bd})
+
+
+def _lift_items(o, seed):
+    for q in o.get("qs", (9, 13, 16, 25)):
+        yield ("lift", {"field": _field_key_for_q(q),
+                        "seed": f"{seed}|lift|{q}",
+                        "draws": o.get("draws", 30)})
+
+
+def _g3_items(o, seed):
+    for n in o.get("ns", range(1, 9)):
+        yield ("g3", {"field": _fkey(2, 2 * n),
+                      "trinomials": n <= o.get("trinomial_nmax", 5)})
+
+
+def _quadratic_char2_items(name, o, seed):
+    """One item per F_(2^(2n)), for families with no further grid."""
+    for n in o.get("ns", range(1, 9)):
+        yield (name, {"field": _fkey(2, 2 * n)})
+
+
+def _transfer_items(o, seed):
+    yield ("transfer_q2", {"field": _fkey(2, 6), "base": "f3"})
+    yield ("transfer_q2", {"field": _fkey(2, 4), "base": "f5"})
+
+
+def _tower_items(o, seed):
+    fams = o.get("families", ("r1l1", "r3", "rk", "fq_r1l1", "gbar"))
+    per = o.get("draws", 500)
+    chunk = o.get("chunk", 50)
+    for q in o.get("qs", Q2_GRID):
+        fk = _q2_field_key(q)
+        for tf in fams:
+            if tf in ("r3", "gbar") and q % 2:
+                continue  # even-characteristic families
             for i in range((per + chunk - 1) // chunk):
-                out.append(("criteria_batch",
-                            {"kind": kind,
-                             "count": min(chunk, per - i * chunk),
-                             "seed": f"{seed}|criteria|{kind}|{i}"}))
-    else:
+                yield ("tower_batch", {"field": fk, "family": tf,
+                                       "draws": min(chunk, per - i * chunk),
+                                       "seed": f"{seed}|tower|{q}|{tf}|{i}"})
+
+
+def _criteria_items(o, seed):
+    per = o.get("count", 2000)
+    chunk = o.get("chunk", 250)
+    for kind in o.get("kinds", ("local", "c1", "c2", "c3v1", "c3v2")):
+        for i in range((per + chunk - 1) // chunk):
+            yield ("criteria_batch", {"kind": kind,
+                                      "count": min(chunk, per - i * chunk),
+                                      "seed": f"{seed}|criteria|{kind}|{i}"})
+
+
+def _count_items(o, seed):
+    for q in o.get("qs", (2, 3, 4, 5)):
+        yield ("count", {"q": q})
+
+
+# family name -> generator of its (evaluator, params) work items, called
+# with the job's options and seed; the CLI offers exactly these families
+FAMILIES = {
+    "main": _main_items,
+    "small": _small_items,
+    "ell": _ell_items,
+    "monomial": _monomial_items,
+    "hd": _hd_items,
+    "lift": _lift_items,
+    "g3": _g3_items,
+    "g5": partial(_quadratic_char2_items, "g5"),
+    "split": partial(_quadratic_char2_items, "split"),
+    "lemmas": partial(_quadratic_char2_items, "lemmas"),
+    "transfer": _transfer_items,
+    "towers": _tower_items,
+    "criteria": _criteria_items,
+    "count": _count_items,
+}
+
+
+def build_instances(job):
+    """Expand a VerifyJob into (evaluator, params) work items."""
+    if job.family not in FAMILIES:
         raise ValueError(f"unknown family {job.family!r}")
-    return out
+    return list(FAMILIES[job.family](job.options, job.seed))
+
+
+def pool_size(jobs, cpus, items):
+    """Worker processes for a run: the requested count (0 means every core),
+    capped at the core count and at the number of work items."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0, got {jobs}")
+    return min(jobs or cpus, cpus, items)
 
 
 def _run_item(item):
@@ -1044,9 +1040,9 @@ def _run_item(item):
 def run_job(job):
     """Execute a VerifyJob and assemble the deterministic report dict."""
     items = build_instances(job)
-    jobs = job.jobs if job.jobs else cpu_count()
+    jobs = pool_size(job.jobs, cpu_count(), len(items))
     t0 = time.perf_counter()
-    if jobs > 1 and len(items) > 1:
+    if jobs > 1:
         with Pool(processes=jobs) as pool:
             chunks = pool.map(_run_item, items, chunksize=1)
     else:

@@ -148,7 +148,6 @@ def count_by_enumeration(q):
     for images in product(range(q), repeat=q):
         fib = Counter(images)
         for m in totals:
-            k = sum(1 for c in fib.values() if c == m)
-            if k * m == q - q % m:
+            if verdict_from_histogram(fib, q, m):
                 totals[m] += 1
     return totals

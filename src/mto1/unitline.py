@@ -13,6 +13,7 @@ guarantees it: the scan doubles as a test of the lemma.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 from .criteria import HypothesisError
 from .cyclotomic import CycloForm, brute_verdict_star
@@ -75,9 +76,6 @@ class RationalMap:
     def __call__(self, x):
         return rat_eval(self, x)
 
-    def reciprocal(self):
-        return RationalMap(self.den, self.num)
-
     def __str__(self):
         return f"{self.num}/{self.den}"
 
@@ -138,11 +136,6 @@ class Deg1Map:
     def inverse(self):
         return Deg1Map(self.d, -self.b, -self.c, self.a)
 
-    def to_rational(self):
-        spec = self.spec
-        return RationalMap(Poly.from_elements(spec, (self.b, self.a)),
-                           Poly.from_elements(spec, (self.d, self.c)))
-
     def __repr__(self):
         return f"Deg1Map(({self.a})x + {self.b}) / (({self.c})x + {self.d})"
 
@@ -183,11 +176,9 @@ def deg1_permutes_unit(dmap):
     multiple of (beta^q x + alpha^q)/(alpha x + beta) with
     alpha^(q+1) != beta^(q+1)."""
     field = dmap.spec
-    q, half = quadratic_base(field)
+    quadratic_base(field)  # raises unless field is a quadratic extension
     a, b, c, d = dmap.a, dmap.b, dmap.c, dmap.d
-
-    def conj(x):
-        return FieldElement(field, field.frob(x.index, half))
+    conj = partial(frob_q, field)
 
     def norm_one(x):
         return (not x.is_zero) and (x * conj(x) == field.one)
@@ -209,12 +200,9 @@ def deg1_unit_to_line(dmap):
     is a scalar multiple of (beta x + beta^q)/(alpha x + alpha^q) with
     alpha, beta nonzero and alpha^(q-1) != beta^(q-1)."""
     field = dmap.spec
-    q, half = quadratic_base(field)
+    quadratic_base(field)  # raises unless field is a quadratic extension
     a, b, c, d = dmap.a, dmap.b, dmap.c, dmap.d
-
-    def conj(x):
-        return FieldElement(field, field.frob(x.index, half))
-
+    conj = partial(frob_q, field)
     if a.is_zero or c.is_zero:
         return False
     ratio = b / conj(a)
@@ -225,49 +213,38 @@ def deg1_unit_to_line(dmap):
     return a * conj(c) != c * conj(a)
 
 
+def _bijection_scan(fn, points, targets):
+    """Exhaustive: does fn map points bijectively onto targets?  Targets are
+    element indices, with INF standing for the point at infinity."""
+    seen = set()
+    for x in points:
+        v = fn(x)
+        key = INF if v is INF else v.index
+        if key not in targets or key in seen:
+            return False
+        seen.add(key)
+    return len(seen) == len(targets)
+
+
 def permutes_unit_scan(fn, field):
     """Exhaustive: does fn permute U_{q+1}?  fn takes and returns elements/INF."""
     units = unit_subgroup_points(field)
-    unit_set = set(units)
-    seen = set()
-    for i in units:
-        v = fn(FieldElement(field, i))
-        if v is INF or v.index not in unit_set or v.index in seen:
-            return False
-        seen.add(v.index)
-    return True
+    return _bijection_scan(fn, [FieldElement(field, i) for i in units],
+                           set(units))
 
 
 def unit_to_line_scan(fn, field):
     """Exhaustive: does fn map U_{q+1} bijectively onto F_q + {INF}?"""
-    units = unit_subgroup_points(field)
     _, half = quadratic_base(field)
-    line = set(subfield_indices(field, half))
-    seen = set()
-    hit_inf = False
-    for i in units:
-        v = fn(FieldElement(field, i))
-        if v is INF:
-            if hit_inf:
-                return False
-            hit_inf = True
-            continue
-        if v.index not in line or v.index in seen:
-            return False
-        seen.add(v.index)
-    return hit_inf and len(seen) == len(line)
+    line = set(subfield_indices(field, half)) | {INF}
+    return _bijection_scan(
+        fn, [FieldElement(field, i) for i in unit_subgroup_points(field)], line)
 
 
 def line_to_unit_scan(fn, field):
     """Exhaustive: does fn map F_q + {INF} bijectively onto U_{q+1}?"""
-    unit_set = set(unit_subgroup_points(field))
-    seen = set()
-    for x in line_points(field):
-        v = fn(x)
-        if v is INF or v.index not in unit_set or v.index in seen:
-            return False
-        seen.add(v.index)
-    return len(seen) == len(unit_set)
+    return _bijection_scan(fn, line_points(field),
+                           set(unit_subgroup_points(field)))
 
 
 # -- the a + 1/a split in characteristic 2 ---------------------------------------
@@ -338,8 +315,7 @@ def g3_family(field, c, trinomials=True):
     """
     if field.p != 2:
         raise HypothesisError("g3 family needs characteristic 2")
-    q, half = quadratic_base(field)
-    n = half
+    q, n = quadratic_base(field)
     if c.spec != field or c.is_zero:
         raise HypothesisError("c must be a nonzero element of F_q")
     if frob_q(field, c) != c:
@@ -437,7 +413,6 @@ def g5_family(field):
 
     h1 = Poly(field, (1, 0, 0, 1, 1))  # x^4 + x^3 + 1
     h2 = Poly(field, (0, 1, 1, 0, 0, 1))  # x^5 + x^2 + x
-    h3 = Poly(field, (1, 1, 0, 0, 1))  # x^4 + x + 1
 
     if n % 2 == 0:
         # f1 = x^(4q+1)+x^(3q+2)+x^5 and f2 = x^(5q)+x^(2q+3)+x^(q+4)
@@ -457,9 +432,8 @@ def g5_family(field):
 
     # f5a = x^(4q+1)+x^(q+4)+x^5 and f5b = x^(5q)+x^(4q+1)+x^(q+4):
     # 1-to-1 for odd n, 5-to-1 for even n
-    h5b = Poly(field, (0, 1, 0, 0, 1, 1))  # x^5+x^4+x
     pred_m5 = 1 if n % 2 else 5
-    for name, h in (("f5a", h3), ("f5b", h5b)):
+    for name, h in (("f5a", num), ("f5b", den)):
         form = CycloForm(field, 5, q - 1, h)
         record[f"{name}_predicted_m"] = pred_m5
         record[f"{name}_verdict"] = brute_verdict_star(form, pred_m5)
@@ -477,33 +451,31 @@ def transfer_families(field, base, c=None, d=3, k=1):
     if base == "f3":
         if n % 2 == 0 or n < 3:
             raise HypothesisError("F3 transfer needs odd n >= 3")
-        if math.gcd(3 + k * (d - 1), q - 1) != 1:
-            raise HypothesisError("(3 + k(d-1), q-1) must be 1")
+        m0 = 3
+    elif base == "f5":
+        if n % 4 != 2:
+            raise HypothesisError("F5 transfer needs n = 2 mod 4")
+        m0 = 5
+    else:
+        raise ValueError(f"unknown transfer base {base!r}")
+    if math.gcd(m0 + k * (d - 1), q - 1) != 1:
+        raise HypothesisError(f"({m0} + k(d-1), q-1) must be 1")
+    if base == "f3":
         if c is None or c.is_zero or frob_q(field, c) != c:
             raise HypothesisError("need c in F_q^*")
         one = field.one
         h = Poly.from_elements(field, (c, one, field.zero, one))  # x^3+x+c
-        form_f = CycloForm(field, 3, q - 1, h)
-        form_big = CycloForm(field, 3 + k * (d - 1), q - 1, hd ** k * h)
         predicted = base_trace(field, one / c).is_zero
-        observed = brute_verdict_star(form_big, 3)
-        base_obs = brute_verdict_star(form_f, 3)
-        return {"base": "f3", "m": 3, "predicted": predicted,
-                "observed": observed, "base_observed": base_obs,
-                "agree": predicted == observed == base_obs}
-    if base == "f5":
-        if n % 4 != 2:
-            raise HypothesisError("F5 transfer needs n = 2 mod 4")
-        if math.gcd(5 + k * (d - 1), q - 1) != 1:
-            raise HypothesisError("(5 + k(d-1), q-1) must be 1")
+    else:
         h = Poly(field, (1, 1, 0, 0, 1))  # x^4 + x + 1
-        form_f = CycloForm(field, 5, q - 1, h)
-        form_big = CycloForm(field, 5 + k * (d - 1), q - 1, hd ** k * h)
-        observed = brute_verdict_star(form_big, 5)
-        base_obs = brute_verdict_star(form_f, 5)
-        return {"base": "f5", "m": 5, "predicted": True, "observed": observed,
-                "base_observed": base_obs, "agree": observed and base_obs}
-    raise ValueError(f"unknown transfer base {base!r}")
+        predicted = True
+    form_f = CycloForm(field, m0, q - 1, h)
+    form_big = CycloForm(field, m0 + k * (d - 1), q - 1, hd ** k * h)
+    observed = brute_verdict_star(form_big, m0)
+    base_obs = brute_verdict_star(form_f, m0)
+    return {"base": base, "m": m0, "predicted": predicted,
+            "observed": observed, "base_observed": base_obs,
+            "agree": predicted == observed == base_obs}
 
 
 # -- tower constructions ----------------------------------------------------------
@@ -511,7 +483,6 @@ def transfer_families(field, base, c=None, d=3, k=1):
 def _pair_identity_scan(field, L, M, eps, t):
     """L(x) = eps * x^t * M(x)^q for all x in U_{q+1}?"""
     _, half = quadratic_base(field)
-    q1 = field.q - 1
     for i in unit_subgroup_points(field):
         lhs = L.eval_index(i)
         rhs = field.mul(eps.index,
@@ -549,6 +520,45 @@ def _tower_record(params, failed=None, predicted=None, observed=None):
     return rec
 
 
+def _tower_outcome(field, r, h, m, params, predicted):
+    """Record the predicted verdict at m for f = x^r h(x^(q-1)) against the
+    F_{q^2}^* scan; an h with roots in U fails the hypotheses instead."""
+    q, _ = quadratic_base(field)
+    try:
+        form = CycloForm(field, r, q - 1, h)
+    except HypothesisError:
+        return _tower_record(params, "H has roots in U")
+    return _tower_record(params, None, predicted, brute_verdict_star(form, m))
+
+
+def _line_tower_failure(field, half, pair, N):
+    """The hypothesis scans shared by the towers through F_q + {INF}: deg N,
+    t, the L/M pair identity and both bijections.  Returns the first failure
+    string, or None when every scan passes."""
+    L, M, eps, t = pair
+    if N.degree < 1:
+        return "deg N < 1"
+    if t < max(L.degree, M.degree):
+        return "t < max(deg L, deg M)"
+    # both polynomials must satisfy P = eps x^t P^q on U, with the same eps, t
+    for name, P in (("L", L), ("M", M)):
+        if not _pair_identity_scan(field, P, P, eps, t):
+            return f"{name} != eps x^t {name}^q on U"
+    lm = RationalMap(L, M)
+    try:
+        if not unit_to_line_scan(lm, field):
+            return "L/M is not a bijection U -> line"
+    except RationalEvalError:
+        return "L/M hits 0/0 on U"
+    nq = RationalMap(N.frobenius(half), N)
+    try:
+        if not line_to_unit_scan(nq, field):
+            return "N^(q)/N is not a bijection line -> U"
+    except RationalEvalError:
+        return "N^(q)/N hits 0/0 on the line"
+    return None
+
+
 def tower_unit_predict(field, inner, outer, n, r, m):
     """Tower through U_{q+1}: with inner = (L1, M1, eps1, t1) and outer =
     (L2, M2, eps2, t2) both permuting U_{q+1} as L/M quotients, the form
@@ -579,13 +589,8 @@ def tower_unit_predict(field, inner, outer, n, r, m):
         return _tower_record(params, "m out of range")
 
     H = _clear_denominators(M2, L1 ** n, M1 ** n, u=t2)
-    try:
-        form = CycloForm(field, r, q - 1, H ** m1)
-    except HypothesisError:
-        return _tower_record(params, "H has roots in U")
     predicted = m % m1 == 0 and math.gcd(n, q + 1) == m // m1
-    observed = brute_verdict_star(form, m)
-    return _tower_record(params, None, predicted, observed)
+    return _tower_outcome(field, r, H ** m1, m, params, predicted)
 
 
 def tower_line_predict(field, pair, N, n, r, m):
@@ -601,41 +606,19 @@ def tower_line_predict(field, pair, N, n, r, m):
     m1 = math.gcd(r, q - 1)
     params = {"n": n, "r": r, "m": m, "m1": m1, "u": u}
 
-    if u < 1:
-        return _tower_record(params, "deg N < 1")
-    if t < max(L.degree, M.degree):
-        return _tower_record(params, "t < max(deg L, deg M)")
-    # both polynomials must satisfy P = eps x^t P^q on U, with the same eps, t
-    for name, P in (("L", L), ("M", M)):
-        if not _pair_identity_scan(field, P, P, eps, t):
-            return _tower_record(params, f"{name} != eps x^t {name}^q on U")
-    lm = RationalMap(L, M)
-    try:
-        if not unit_to_line_scan(lm, field):
-            return _tower_record(params, "L/M is not a bijection U -> line")
-    except RationalEvalError:
-        return _tower_record(params, "L/M hits 0/0 on U")
-    nq = RationalMap(N.frobenius(half), N)
-    try:
-        if not line_to_unit_scan(nq, field):
-            return _tower_record(params, "N^(q)/N is not a bijection line -> U")
-    except RationalEvalError:
-        return _tower_record(params, "N^(q)/N hits 0/0 on the line")
+    failed = _line_tower_failure(field, half, pair, N)
+    if failed:
+        return _tower_record(params, failed)
     if (r // m1) % (q + 1) != (n * t * u) % (q + 1):
         return _tower_record(params, "congruence r/m1 = n t u mod q+1")
     if not 1 <= m <= m1 * (q + 1):
         return _tower_record(params, "m out of range")
 
     H = _clear_denominators(N, L ** n, M ** n)
-    try:
-        form = CycloForm(field, r, q - 1, H ** m1)
-    except HypothesisError:
-        return _tower_record(params, "H has roots in U")
     g = math.gcd(n, q - 1)
     predicted = (m == m1 and g == 1) or (
         m % m1 == 0 and g == m // m1 and g >= 3 and 2 * (q - 1) < m)
-    observed = brute_verdict_star(form, m)
-    return _tower_record(params, None, predicted, observed)
+    return _tower_outcome(field, r, H ** m1, m, params, predicted)
 
 
 def tower_gbar_predict(field, pair, N, alpha, r):
@@ -654,52 +637,19 @@ def tower_gbar_predict(field, pair, N, alpha, r):
     params = {"r": r, "m1": m1, "u": u, "sigma_is_one": sigma == field.one}
     if aq == alpha:
         return _tower_record(params, "alpha lies in F_q")
-    if u < 1:
-        return _tower_record(params, "deg N < 1")
-    if t < max(L.degree, M.degree):
-        return _tower_record(params, "t < max(deg L, deg M)")
-    for name, P in (("L", L), ("M", M)):
-        if not _pair_identity_scan(field, P, P, eps, t):
-            return _tower_record(params, f"{name} != eps x^t {name}^q on U")
-    lm = RationalMap(L, M)
-    try:
-        if not unit_to_line_scan(lm, field):
-            return _tower_record(params, "L/M is not a bijection U -> line")
-    except RationalEvalError:
-        return _tower_record(params, "L/M hits 0/0 on U")
-    nq = RationalMap(N.frobenius(half), N)
-    try:
-        if not line_to_unit_scan(nq, field):
-            return _tower_record(params, "N^(q)/N is not a bijection line -> U")
-    except RationalEvalError:
-        return _tower_record(params, "N^(q)/N hits 0/0 on the line")
+    failed = _line_tower_failure(field, half, pair, N)
+    if failed:
+        return _tower_record(params, failed)
     if (r // m1) % (q + 1) != (3 * t * u) % (q + 1):
         return _tower_record(params, "congruence r/m1 = 3 t u mod q+1")
 
     pi = alpha * aq
-    one = field.one
     # gbar as cubic/quadratic forms in (L, M)
     h1 = (L ** 3 + (L ** 2 * M).scale(sigma) + (L * M ** 2).scale(pi)
           + (M ** 3).scale(sigma))
     h2 = (L ** 2 * M + (L * M ** 2).scale(sigma) + (M ** 3).scale(pi))
-    u_deg = N.degree
-    spec = field
-    acc = Poly(spec, ())
-    h1p = Poly.constant(spec, 1)
-    h2pows = [Poly.constant(spec, 1)]
-    for _ in range(u_deg):
-        h2pows.append(h2pows[-1] * h2)
-    for j, a in enumerate(N.coeffs):
-        if a:
-            acc = acc + (h1p * h2pows[u_deg - j]).scale(FieldElement(spec, a))
-        h1p = h1p * h1
-    try:
-        form = CycloForm(field, r, q - 1, acc ** m1)
-    except HypothesisError:
-        return _tower_record(params, "H has roots in U")
-    predicted = sigma == one
-    observed = brute_verdict_star(form, m1)
-    return _tower_record(params, None, predicted, observed)
+    H = _clear_denominators(N, h1, h2)
+    return _tower_outcome(field, r, H ** m1, m1, params, sigma == field.one)
 
 
 # -- ready-made (L, M, eps, t) pairs ----------------------------------------------

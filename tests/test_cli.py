@@ -1,9 +1,13 @@
 """CLI contract: the analyze fixtures, exit codes, and report determinism."""
 
+import argparse
 import json
 import re
 
+import pytest
+
 import mto1.cli as cli
+from mto1.harness import FAMILIES, VerifyJob, build_instances, pool_size
 
 
 def run_cli(capsys, *argv):
@@ -146,3 +150,46 @@ def test_flag_aliases_match_positionals(capsys):
     code, out3, _ = run_cli(capsys, "verify", "--family", "count",
                             "--grid", "qs=2,3")
     assert code == 0 and "disagreements=0" in out3
+
+
+def test_m_zero_is_rejected(capsys):
+    assert run_cli(capsys, "analyze", "5^1", "0,1,0,1", "--m", "0")[0] == 2
+    assert run_cli(capsys, "count", "--q", "3", "--m", "0")[0] == 2
+
+
+def test_vacuous_verify_exit_5(capsys):
+    code, out, err = run_cli(capsys, "verify", "g3", "--n", "3..1")
+    assert code == 5
+    assert "total=0" in out and "zero checks" in err
+    code, _, _ = run_cli(capsys, "verify", "main", "--q", "5..2",
+                         "--grid", "fixtures=0")
+    assert code == 5
+
+
+def test_negative_jobs_exit_2(capsys):
+    assert run_cli(capsys, "verify", "count", "--q", "2", "--jobs", "-1")[0] == 2
+
+
+def test_pool_size():
+    assert pool_size(0, 4, 100) == 4     # 0 means every core
+    assert pool_size(3, 4, 100) == 3
+    assert pool_size(64, 4, 100) == 4    # never more workers than cores
+    assert pool_size(0, 4, 2) == 2       # nor more than work items
+    assert pool_size(0, 4, 0) == 0
+    with pytest.raises(ValueError):
+        pool_size(-1, 4, 100)
+
+
+def test_verify_choices_are_the_family_table():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    verify = sub.choices["verify"]
+    choices = [tuple(a.choices) for a in verify._actions
+               if a.dest in ("family", "family_flag")]
+    assert choices == [tuple(FAMILIES)] * 2
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_every_family_builds_items_at_defaults(family):
+    assert build_instances(VerifyJob(family))
