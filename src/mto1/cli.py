@@ -5,7 +5,8 @@ m-to-1 self-maps.
 Exit codes: 0 success (and, for verify, zero disagreements); 1 verify found
 disagreements; 2 parse failure; 3 unsupported scale; 4 search budget exceeded;
 5 verify ran zero checks (a grid record counts its params.checked, any other
-record that is not skipped counts one).
+record that is not skipped counts one); 6 a verify evaluator crashed (one
+line on stderr names the evaluator, its params and the exception).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 from .criteria import HypothesisError
 from .galois import FieldError, Poly, ScaleError, parse_field
-from .harness import FAMILIES, VerifyJob, run_job
+from .harness import FAMILIES, EvaluatorError, VerifyJob, run_job
 from .multiplicity import (FiniteMapping, admissible_m_set, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fiber_histogram)
@@ -29,6 +30,7 @@ EXIT_PARSE = 2
 EXIT_SCALE = 3
 EXIT_BUDGET = 4
 EXIT_VACUOUS = 5
+EXIT_CRASH = 6
 
 
 def _parse_int_list(text):
@@ -288,6 +290,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except EvaluatorError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_CRASH
     except (BudgetError, FieldError, HypothesisError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         if isinstance(err, ScaleError):

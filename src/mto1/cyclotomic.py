@@ -12,11 +12,17 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .criteria import HypothesisError
 from .galois import FieldElement, Poly
-from .multiplicity import FiniteMapping, check_m_to_1, verdict_from_histogram
+from .multiplicity import (FiniteMapping, census_verdict, check_m_to_1,
+                           fiber_census, verdict_from_histogram)
+
+
+def _check_exponent(r):
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"exponent r must be a positive integer, got {r}")
 
 
 class CycloForm:
@@ -26,8 +32,7 @@ class CycloForm:
 
     def __init__(self, spec, r, s, h):
         q1 = spec.q - 1
-        if not isinstance(r, int) or r < 1:
-            raise ValueError(f"exponent r must be a positive integer, got {r}")
+        _check_exponent(r)
         if not isinstance(s, int) or s < 1 or q1 % s:
             raise HypothesisError(f"s = {s} must divide q-1 = {q1}")
         if h.spec != spec:
@@ -43,14 +48,27 @@ class CycloForm:
                 raise HypothesisError(f"h has the root {witness} in U_{ell}")
             hlogs.append(spec.log[v])
         self.spec = spec
-        self.r = r
         self.s = s
         self.h = h
         self.ell = ell
-        self.m1 = math.gcd(r, s)
-        self.r1 = r // self.m1
-        self.s1 = s // self.m1
         self.hlogs = tuple(hlogs)
+        self._set_r(r)
+
+    def with_r(self, r):
+        """The form x^r h(x^s) with this form's field, s and h.  h's values on
+        U_ell do not depend on r, so they are reused, not scanned again."""
+        _check_exponent(r)
+        form = CycloForm.__new__(CycloForm)
+        form.spec, form.s, form.h = self.spec, self.s, self.h
+        form.ell, form.hlogs = self.ell, self.hlogs
+        form._set_r(r)
+        return form
+
+    def _set_r(self, r):
+        self.r = r
+        self.m1 = math.gcd(r, self.s)
+        self.r1 = r // self.m1
+        self.s1 = self.s // self.m1
 
     def __repr__(self):
         return (f"CycloForm({self.spec!r}, r={self.r}, s={self.s}, "
@@ -96,6 +114,8 @@ class CycloDecomposition:
     s1: int
     ell: int
     g_logs: tuple  # dlog of g at g^(j*s), j = 0..ell-1
+    # fiber_census of g on U_ell; derived from g_logs, so not compared
+    g_census: dict = dc_field(compare=False, repr=False)
 
     def g_mapping(self):
         spec = self.form.spec
@@ -104,16 +124,13 @@ class CycloDecomposition:
         img = tuple(FieldElement(spec, spec.exp_at(t)) for t in self.g_logs)
         return FiniteMapping(dom, img)
 
-    def g_fibers(self):
-        return Counter(self.g_logs)
-
     def g_report(self, m2):
         return check_m_to_1(self.g_mapping(), m2)
 
     def g_verdict(self, m2):
         if not 1 <= m2 <= self.ell:
             return False
-        return verdict_from_histogram(self.g_fibers(), self.ell, m2)
+        return census_verdict(self.g_census, self.ell, m2)
 
 
 def decompose(form, verify=True):
@@ -136,7 +153,8 @@ def decompose(form, verify=True):
         for i in range(q1):
             if (s1 * flogs[i]) % q1 != g_logs[i % ell]:
                 raise RuntimeError("commuting square failed; arithmetic bug")
-    return CycloDecomposition(form, m1, r1, s1, ell, g_logs)
+    return CycloDecomposition(form, m1, r1, s1, ell, g_logs,
+                              fiber_census(Counter(g_logs)))
 
 
 # -- brute-force oracle --------------------------------------------------------
@@ -177,20 +195,31 @@ class MainPrediction:
         return {"m": self.m, "verdict": self.verdict, "failed": self.failed}
 
 
+def failed_conjunct(decomp, m):
+    """The main reduction's verdict at m, without building a MainPrediction:
+    0 when f is predicted m-to-1, else the number of the first conjunct that
+    fails, in the order 1: m1 | m, 2: g is (m/m1)-to-1 on U_ell,
+    3: s*(ell mod m2) < m.  An m outside [1, ell*m1] fails conjunct 1 or 2."""
+    if m % decomp.m1:
+        return 1
+    m2 = m // decomp.m1
+    if not decomp.g_verdict(m2):
+        return 2
+    if not decomp.form.s * (decomp.ell % m2) < m:
+        return 3
+    return 0
+
+
 def predict_from(decomp, m):
     """Prediction at multiplicity m from an existing decomposition."""
-    form = decomp.form
     if not 1 <= m <= decomp.ell * decomp.m1:
         raise ValueError(
             f"m must be in [1, ell*m1] = [1, {decomp.ell * decomp.m1}], got {m}")
-    if m % decomp.m1:
-        return MainPrediction(m, False, "m1 divides m", decomp)
-    m2 = m // decomp.m1
-    if not decomp.g_verdict(m2):
-        return MainPrediction(m, False, f"g is {m2}-to-1 on U_{decomp.ell}", decomp)
-    if not form.s * (decomp.ell % m2) < m:
-        return MainPrediction(m, False, "s*(ell mod m2) < m", decomp)
-    return MainPrediction(m, True, None, decomp)
+    failed = failed_conjunct(decomp, m)
+    text = (None, "m1 divides m",
+            f"g is {m // decomp.m1}-to-1 on U_{decomp.ell}",
+            "s*(ell mod m2) < m")[failed]
+    return MainPrediction(m, not failed, text, decomp)
 
 
 def main_predict(form, m):

@@ -423,6 +423,10 @@ class FieldElement:
         return NotImplemented
 
     def __hash__(self):
+        # a prime-subfield element equals the int index (see __eq__), so it
+        # must hash as that int
+        if self.index < self.spec.p:
+            return hash(self.index)
         return hash((self.index, self.spec.p, self.spec.n))
 
     def __bool__(self):

@@ -24,15 +24,15 @@ from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
 from .cyclotomic import (CycloForm, brute_verdict_star, decompose,
-                         hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
-                         lift_from_permutation, monomial_predict,
-                         permutes_field, predict_from, random_rootless_poly,
-                         small_ell_predict, small_m_predict, star_fibers,
-                         transfer_equivalence)
+                         failed_conjunct, hd_family_predict, hd_rootless_gcd,
+                         hd_rootless_scan, lift_from_permutation,
+                         monomial_predict, permutes_field, predict_from,
+                         random_rootless_poly, small_ell_predict,
+                         small_m_predict, star_fibers, transfer_equivalence)
 from .galois import (FieldElement, Poly, build_field, is_prime,
                      quadratic_base, subfield_indices)
-from .multiplicity import (FiniteMapping, check_m_to_1, count_by_enumeration,
-                           count_formula, verdict_from_histogram)
+from .multiplicity import (FiniteMapping, census_verdict, check_m_to_1,
+                           count_by_enumeration, count_formula, fiber_census)
 from .unitline import (base_trace, frob_q, g3_family, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
                        line_poly_deg1, line_poly_rk, quartic_rootless_lemma,
@@ -158,14 +158,15 @@ def _eval_main_grid(params):
     mcap = params.get("mcap", 16)
     rmax = params.get("rmax", 2 * s)
     q1 = spec.q - 1
+    base = CycloForm(spec, 1, s, h)
     tally = _Tally()
     for r in range(1, rmax + 1):
-        form = CycloForm(spec, r, s, h)
+        form = base.with_r(r)
         dec = decompose(form, verify=(r == 1))
-        fib = star_fibers(form)
+        census = fiber_census(star_fibers(form))
         for m in range(1, min(dec.ell * dec.m1, mcap) + 1):
-            predicted = predict_from(dec, m).verdict
-            observed = verdict_from_histogram(fib, q1, m)
+            predicted = not failed_conjunct(dec, m)
+            observed = census_verdict(census, q1, m)
             if not tally.check(predicted == observed):
                 tally.bad.append({"r": r, "m": m, "predicted": predicted,
                                   "observed": observed})
@@ -198,14 +199,13 @@ def _eval_small_m(params):
     h = Poly(spec, params["h"])
     m = params["m"]
     q1 = spec.q - 1
+    base = CycloForm(spec, 1, s, h)
     tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
-        form = CycloForm(spec, r, s, h)
+        form = base.with_r(r)
         case_verdict, _ = small_m_predict(form, m)
-        dec = decompose(form, verify=False)
-        main_verdict = (predict_from(dec, m).verdict
-                        if m <= dec.ell * dec.m1 else False)
-        observed = verdict_from_histogram(star_fibers(form), q1, m)
+        main_verdict = not failed_conjunct(decompose(form, verify=False), m)
+        observed = census_verdict(fiber_census(star_fibers(form)), q1, m)
         if not tally.check(case_verdict == main_verdict == observed):
             tally.bad.append({"r": r, "case": case_verdict,
                               "main": main_verdict, "oracle": observed})
@@ -231,11 +231,13 @@ def _eval_small_m_corollary(params):
         val = spec.pow(
             spec.mul(spec.pow(spec.sub(a_idx, 1), 5), spec.add(a_idx, 2)),
             (q - 1) // 6)
+        base = CycloForm(spec, 1, s, h)
         for r in range(1, 2 * s + 1):
-            form = CycloForm(spec, r, s, h)
+            form = base.with_r(r)
             cond = (math.gcd(r, s) == 2 and r % 6 in (2, 4)
                     and val not in (w, wsq))
-            observed = verdict_from_histogram(star_fibers(form), q - 1, 2)
+            observed = census_verdict(fiber_census(star_fibers(form)),
+                                      q - 1, 2)
             if not tally.check(cond == observed):
                 tally.bad.append({"a": str(a), "r": r, "cond": cond,
                                   "oracle": observed})
@@ -250,15 +252,16 @@ def _eval_small_ell(params):
     h = Poly(spec, params["h"])
     q1 = spec.q - 1
     ell = q1 // s
+    base = CycloForm(spec, 1, s, h)
     tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
-        form = CycloForm(spec, r, s, h)
+        form = base.with_r(r)
         dec = decompose(form, verify=False)
-        fib = star_fibers(form)
+        census = fiber_census(star_fibers(form))
         for m in range(1, ell * dec.m1 + 1):
             case_verdict, _ = small_ell_predict(form, m)
-            main_verdict = predict_from(dec, m).verdict
-            observed = verdict_from_histogram(fib, q1, m)
+            main_verdict = not failed_conjunct(dec, m)
+            observed = census_verdict(census, q1, m)
             if not tally.check(case_verdict == main_verdict == observed):
                 tally.bad.append({"r": r, "m": m, "case": case_verdict,
                                   "main": main_verdict, "oracle": observed})
@@ -281,8 +284,9 @@ def _eval_ell2_corollary(params):
         a = FieldElement(spec, a_idx)
         h = Poly.from_elements(spec, (a, spec.one))
         val = spec.pow(spec.sub(spec.mul(a_idx, a_idx), 1), s)
+        base = CycloForm(spec, 1, s, h)
         for r in range(1, 2 * s + 1):
-            form = CycloForm(spec, r, s, h)
+            form = base.with_r(r)
             m1 = math.gcd(r, s)
             sign = minus_one if r % 2 else 1
             cond = m1 == 1 and val == sign
@@ -292,7 +296,8 @@ def _eval_ell2_corollary(params):
                 v2 = spec.pow(frac, (q - 1) // 4)
                 sign2 = minus_one if (r // 2) % 2 else 1
                 cond = v2 != sign2
-            observed = verdict_from_histogram(star_fibers(form), q - 1, 2)
+            observed = census_verdict(fiber_census(star_fibers(form)),
+                                      q - 1, 2)
             if not tally.check(cond == observed):
                 tally.bad.append({"a": str(a), "r": r, "cond": cond,
                                   "oracle": observed})
@@ -321,12 +326,12 @@ def _eval_monomial_grid(params):
         h = Poly.from_elements(spec, (-a, spec.one)).of_power(d) ** (k * m1)
         form = CycloForm(spec, r, q - 1, h)
         dec = decompose(form, verify=False)
-        fib = star_fibers(form)
+        census = fiber_census(star_fibers(form))
         beta = (-a) ** (-k)
         for m in range(1, min(m1 * (q + 1), mcap) + 1):
             mono = monomial_predict(form, beta, -k * d, m)["verdict"]
-            main_v = predict_from(dec, m).verdict
-            observed = verdict_from_histogram(fib, q2_1, m)
+            main_v = not failed_conjunct(dec, m)
+            observed = census_verdict(census, q2_1, m)
             closed = (m % m1 == 0
                       and math.gcd(r // m1 - k * d, q + 1) == m // m1)
             if not tally.check(mono == main_v == observed == closed):
@@ -1022,6 +1027,12 @@ def pool_size(jobs, cpus, items):
     return min(jobs or cpus, cpus, items)
 
 
+class EvaluatorError(RuntimeError):
+    """An evaluator raised something other than a HypothesisError.  The one
+    message names the evaluator, its params and the original exception, so
+    the error pickles back from a pool worker whatever the original was."""
+
+
 def _run_item(item):
     name, params = item
     t0 = time.perf_counter()
@@ -1030,6 +1041,11 @@ def _run_item(item):
     except HypothesisError as err:
         records = [_record(dict(params), None, None,
                            skipped=f"hypothesis: {err}")]
+    except Exception as err:
+        raise EvaluatorError(
+            f"evaluator {name} failed on "
+            f"{json.dumps(params, sort_keys=True, default=str)}: {err!r}"
+        ) from err
     elapsed = time.perf_counter() - t0
     for rec in records:
         rec["evaluator"] = name

@@ -1,12 +1,15 @@
 """CLI contract: the analyze fixtures, exit codes, and report determinism."""
 
 import argparse
+import hashlib
 import json
 import re
+import threading
 
 import pytest
 
 import mto1.cli as cli
+import mto1.harness as harness
 from mto1.harness import FAMILIES, VerifyJob, build_instances, pool_size
 
 
@@ -193,3 +196,50 @@ def test_verify_choices_are_the_family_table():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_builds_items_at_defaults(family):
     assert build_instances(VerifyJob(family))
+
+
+def _crash(params):
+    raise RuntimeError("commuting square failed; arithmetic bug")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_evaluator_crash_exit_6(capsys, monkeypatch, jobs):
+    monkeypatch.setitem(harness.EVALUATORS, "count", _crash)
+    result = []
+    argv = ["verify", "count", "--q", "2,3", "--jobs", jobs]
+    runner = threading.Thread(target=lambda: result.append(cli.main(argv)))
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive(), "the crashed run did not return"
+    err = capsys.readouterr().err
+    assert result == [6]
+    assert len(err.splitlines()) == 1
+    assert "count" in err and '"q": ' in err and "RuntimeError" in err
+    assert "arithmetic bug" in err
+
+
+# sha256 of each report's records with "elapsed" stripped: any change to the
+# cyclotomic grid evaluators must reproduce these reports byte for byte
+REPORT_PINS = {
+    ("main", "--q", "5,7,8,9", "--hcount", "4"):
+        "1d78c5c71d45e29994e95463a195acf4a35af67350819cb7ba08f53afaf01395",
+    ("small", "--q", "7,13", "--hcount", "2"):
+        "b17a626473e3abe54d5130d1d431d553bf9e4be1ad7044c509d57d0a965a8208",
+    ("ell", "--q", "7,13", "--hcount", "2"):
+        "4a2dbe58b39f427123385b4811e49549d323059fdeb1f288361924d65e809087",
+    ("monomial", "--q", "3,4"):
+        "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(REPORT_PINS))
+def test_grid_reports_match_pinned_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "0",
+                           "--jobs", "1", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    for rec in records:
+        del rec["elapsed"]
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_PINS[argv]

@@ -9,7 +9,8 @@ import pytest
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import (CycloForm, brute_admissible_star,
                              brute_report_star, brute_verdict_star, decompose,
-                             fq_bridge, hd_family_predict, hd_poly,
+                             failed_conjunct, fq_bridge, hd_family_predict,
+                             hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
                              main_predict, monomial_predict, permutes_field,
@@ -541,3 +542,46 @@ def test_small_ell3_s_divides_r_conjunct_is_sharp():
 
 def test_admissible_star_and_f29():
     assert brute_admissible_star(f29_form()) == {12}
+
+
+SMALL_FIELDS = {13: (13, 1), 16: (2, 4), 25: (5, 2)}
+
+
+@pytest.mark.parametrize("q", sorted(SMALL_FIELDS))
+def test_with_r_matches_a_fresh_form(q):
+    spec = build_field(*SMALL_FIELDS[q])
+    rng = random.Random(f"with-r-{q}")
+    for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+        base = CycloForm(spec, 1, s, random_rootless_poly(spec, s, 4, rng))
+        for r in range(1, 2 * s + 2):
+            fast, fresh = base.with_r(r), CycloForm(spec, r, s, base.h)
+            assert (fast.r, fast.s, fast.ell, fast.hlogs, fast.m1, fast.r1,
+                    fast.s1) == (fresh.r, fresh.s, fresh.ell, fresh.hlogs,
+                                 fresh.m1, fresh.r1, fresh.s1)
+            assert fast.f_logs() == fresh.f_logs()
+        with pytest.raises(ValueError):
+            base.with_r(0)
+
+
+@pytest.mark.parametrize("q", sorted(SMALL_FIELDS))
+def test_failed_conjunct_and_cached_g_verdict_match_predict_from(q):
+    spec = build_field(*SMALL_FIELDS[q])
+    rng = random.Random(f"conjunct-{q}")
+    texts = {1: "m1 divides m", 3: "s*(ell mod m2) < m"}
+    for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+        for _ in range(3):
+            base = CycloForm(spec, 1, s, random_rootless_poly(spec, s, 4, rng))
+            for r in range(1, 2 * s + 1):
+                dec = decompose(base.with_r(r))
+                for m2 in range(1, dec.ell + 1):
+                    assert dec.g_verdict(m2) == dec.g_report(m2).verdict
+                assert failed_conjunct(dec, 0)
+                assert failed_conjunct(dec, (dec.ell + 1) * dec.m1) == 2
+                for m in range(1, dec.ell * dec.m1 + 1):
+                    pred = predict_from(dec, m)
+                    failed = failed_conjunct(dec, m)
+                    assert (failed == 0) == pred.verdict
+                    if failed == 2:
+                        assert pred.failed.startswith("g is ")
+                    else:
+                        assert pred.failed == texts.get(failed)

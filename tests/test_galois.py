@@ -284,3 +284,13 @@ def test_element_order_and_zero_guards():
         spec.zero ** -1
     assert spec.zero ** 0 == spec.one
     assert spec.element(3) ** 0 == spec.one
+
+
+@pytest.mark.parametrize("key", [(7, 1), (3, 2)])
+def test_prime_subfield_elements_hash_like_their_ints(key):
+    spec = build_field(*key)
+    for c in range(spec.p):
+        assert spec.element(c) == c
+        assert {spec.element(c), c} == {c}
+        assert hash(spec.element(c)) == hash(c)
+    assert len(set(spec.elements()) | set(range(spec.p))) == spec.q

@@ -7,9 +7,11 @@ import random
 import pytest
 
 from mto1.galois import build_field
-from mto1.multiplicity import (FiniteMapping, admissible_m_set, check_m_to_1,
+from mto1.multiplicity import (FiniteMapping, admissible_m_set,
+                               census_verdict, check_m_to_1,
                                count_by_enumeration, count_formula,
-                               fiber_histogram)
+                               fiber_census, fiber_histogram,
+                               verdict_from_histogram)
 
 
 def paper_f5_mapping():
@@ -220,3 +222,17 @@ def test_exceptional_set_in_domain_order():
     rep = check_m_to_1(mp, 3)
     assert rep.verdict
     assert rep.exceptional_set == (4, 5)  # domain order, not sorted values
+
+
+def test_census_verdict_matches_check_m_to_1():
+    rng = random.Random("census")
+    for _ in range(300):
+        size = rng.randrange(1, 25)
+        images = [rng.randrange(rng.randrange(1, size + 1)) for _ in range(size)]
+        mp = FiniteMapping(range(size), images)
+        census = fiber_census(mp.fiber_sizes())
+        assert sum(census.values()) == len(set(images))
+        for m in range(1, size + 1):
+            want = check_m_to_1(mp, m).verdict
+            assert census_verdict(census, size, m) == want
+            assert verdict_from_histogram(mp.fiber_sizes(), size, m) == want
