@@ -398,21 +398,8 @@ def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
     ell = big_q1 // s
     m1 = math.gcd(r, s)
 
-    h = hd_poly(field, d).of_power(e) ** t
-    if H is not None:
-        if k is None:
-            raise HypothesisError("the H-twisted family needs k")
-        for c in H.coeffs:
-            if field.frob(c, base_degree) != c:
-                raise HypothesisError("H must have coefficients in the base field")
-        ell0 = ell // math.gcd(ell, k - 1) if k > 1 else ell
-        h = h * _compose(H, hd_poly(field, k).of_power(e) ** ell0)
-
-    form = CycloForm(field, r, s, h)  # scans h rootless on U_ell
-
-    gcd_ok = hd_rootless_gcd(d, e, ell, q0)
-    scan_ok = hd_rootless_scan(field, d, e, ell)
-
+    # the regime depends on the parameters alone: decide it before building
+    # h and scanning it on U_ell
     if math.gcd(q0 - 1, n0) % (ell * m1) == 0:
         case = "q-1"
         predicted = m == m1
@@ -426,6 +413,20 @@ def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
     else:
         raise HypothesisError(
             f"neither ell*m1 | (q0-1, n0) nor (n0 even and ell*m1 | q0+1) holds")
+
+    h = hd_poly(field, d).of_power(e) ** t
+    if H is not None:
+        if k is None:
+            raise HypothesisError("the H-twisted family needs k")
+        for c in H.coeffs:
+            if field.frob(c, base_degree) != c:
+                raise HypothesisError("H must have coefficients in the base field")
+        ell0 = ell // math.gcd(ell, k - 1) if k > 1 else ell
+        h = h * _compose(H, hd_poly(field, k).of_power(e) ** ell0)
+
+    form = CycloForm(field, r, s, h)  # scans h rootless on U_ell
+    gcd_ok = hd_rootless_gcd(d, e, ell, q0)
+    scan_ok = hd_rootless_scan(field, d, e, ell)
     return {"case": case, "m": m, "predicted": predicted, "form": form,
             "hd_rootless_gcd": gcd_ok, "hd_rootless_scan": scan_ok,
             "q0": q0, "n0": n0, "ell": ell, "m1": m1}

@@ -25,6 +25,11 @@ class BudgetError(RuntimeError):
 
 DEFAULT_BUDGET = 1 << 25
 
+# (candidate, fiber slot) cells per enumeration chunk: a chunk holds
+# CHUNK_CELLS // (ell * max m1) candidates, which bounds both the grid of h's
+# values on U_ell and the per-row fiber table of the g-check
+CHUNK_CELLS = 1 << 17
+
 
 def admissible_r_values(q, s, m, r_values=None):
     """r in [1, q-1] whose (m1, m2) pass the arithmetic conjuncts of the
@@ -48,8 +53,15 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     """All (r, h) with h in the normalized degree-<=deg space such that
     x^r h(x^s) is m-to-1 on F_q^*; hits sorted by (h coefficients, r)."""
     q = spec.q
-    if (q - 1) % s:
-        raise ValueError(f"s = {s} does not divide q-1 = {q - 1}")
+    if s < 1 or (q - 1) % s:
+        raise ValueError(f"s = {s} must be a positive divisor of q-1 = {q - 1}")
+    if deg < 0:
+        raise ValueError(f"deg = {deg} must be >= 0")
+    if m < 1:
+        raise ValueError(f"m = {m} must be >= 1")
+    bad_r = [r for r in r_values or () if not 1 <= r < q]
+    if bad_r:
+        raise ValueError(f"r = {bad_r[0]} is outside [1, q-1] = [1, {q - 1}]")
     space = q ** deg
     if space > budget:
         raise BudgetError(
@@ -57,12 +69,8 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     rs = admissible_r_values(q, s, m, r_values)
     if not rs:
         return []
-    if spec.n == 1 and deg >= 1:
-        raw = _search_prime_numpy(spec, s, deg, m, rs)
-    else:
-        raw = _search_generic(spec, s, deg, m, rs)
     hits = []
-    for coeffs, r in sorted(raw):
+    for coeffs, r in sorted(_kernel(spec, s, deg, rs)):
         h = Poly(spec, coeffs)
         form = CycloForm(spec, r, s, h)
         verified = brute_verdict_star(form, m)
@@ -71,110 +79,50 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     return hits
 
 
-def _search_generic(spec, s, deg, m, rs):
-    """Plain enumeration; fine for small spaces and extension fields."""
-    q = spec.q
+def _kernel(spec, s, deg, rs):
+    """(coeffs, r) for every candidate h rootless on U_ell whose
+    g = x^r1 h(x)^s1 has exactly ell - ell % m2 points of U_ell in fibers of
+    size m2, for each admissible (r, m1, m2).
+
+    Candidate k has coefficient i = digit i-1 of k in base q.  Each term
+    c * u_j^i is an exp/log lookup; terms are summed as base-p digit vectors
+    mod p and recombined with the place values, so one path serves prime and
+    extension fields.  g(u_j) lies in U_(ell*m1) at position
+    (r*j + log h(u_j)) mod ell*m1, and one bincount over those positions,
+    offset per row, gives every point's fiber size.
+    """
+    p, n, q = spec.p, spec.n, spec.q
     q1 = q - 1
     ell = q1 // s
-    units = [spec.exp_at(j * s) for j in range(ell)]
-    out = []
-    coeffs = [1] + [0] * deg
+    exp = np.array(spec.exp, dtype=np.int64)
+    log = np.array(spec.log, dtype=np.int64)
+    place = p ** np.arange(n, dtype=np.int64)
+    dtype = np.min_scalar_type(2 * p - 2)  # one digit sum before the mod
+    digits = (np.arange(q)[:, None] // place % p).astype(dtype)
+    qpow = q ** np.arange(deg, dtype=np.int64)
+    j = np.arange(ell, dtype=np.int64)
+    unit_logs = [i * s * j % q1 for i in range(deg + 1)]  # log u_j^i
+    rows = max(1, CHUNK_CELLS // (ell * max(m1 for _, m1, _ in rs)))
     total = q ** deg
-
-    def bump():
-        for i in range(1, deg + 1):
-            coeffs[i] += 1
-            if coeffs[i] < q:
-                return True
-            coeffs[i] = 0
-        return False
-
-    for _ in range(total):
-        h = Poly(spec, tuple(coeffs))
-        vals = [h.eval_index(u) for u in units]
-        if all(vals):
-            hlogs = [spec.log[v] for v in vals]
-            for r, m1, m2 in rs:
-                r1, s1 = r // m1, s // m1
-                glogs = [(r1 * (j * s) + s1 * hlogs[j]) % q1
-                         for j in range(ell)]
-                cover = sum(1 for t in glogs if glogs.count(t) == m2)
-                if cover == ell - ell % m2:
-                    out.append((tuple(coeffs), r))
-        if not bump():
-            break
-    return out
-
-
-def _search_prime_numpy(spec, s, deg, m, rs, chunk_budget=1 << 18):
-    """Vectorized prime-field enumeration.
-
-    Values of every candidate h on U_ell are built by broadcast sums; the
-    m2-to-1 check counts, per candidate, how many subgroup points sit in
-    fibers of size exactly m2 (an ell x ell equality tensor per chunk).
-    """
-    p = spec.p
-    q1 = p - 1
-    ell = q1 // s
-    units = np.array([spec.exp_at(j * s) for j in range(ell)], dtype=np.int64)
-    # point powers: P[i, j] = units[j]^i for the x^i coefficient
-    P = np.ones((deg + 1, ell), dtype=np.int64)
-    for i in range(1, deg + 1):
-        P[i] = P[i - 1] * units % p
-    log = np.array([0] + [spec.log[v] for v in range(1, p)], dtype=np.int64)
-    j_base = np.arange(ell, dtype=np.int64) * s
-
-    # split coefficient positions into an inner block (materialized per chunk)
-    # and outer positions iterated one tuple at a time
-    inner = 0
-    size = 1
-    while inner < deg and size * p <= chunk_budget:
-        size *= p
-        inner += 1
-    outer = deg - inner
-
-    inner_grid = np.zeros((size, ell), dtype=np.int64)
-    if inner:
-        reps = 1
-        for i in range(1, inner + 1):
-            coeff_col = np.tile(np.repeat(np.arange(p), reps), size // (p * reps))
-            inner_grid += coeff_col[:, None] * P[i][None, :]
-            reps *= p
-        inner_grid %= p
-    digits = np.zeros(max(outer, 1), dtype=np.int64)
-
     out = []
-    while True:
-        base = P[0].copy()  # constant term 1
-        for oi in range(outer):
-            base = base + digits[oi] * P[inner + 1 + oi]
-        V = (inner_grid + base[None, :]) % p
-        ok = (V != 0).all(axis=1)
-        if ok.any():
-            rows = np.nonzero(ok)[0]
-            hlog = log[V[rows]]
-            for r, m1, m2 in rs:
-                r1, s1 = r // m1, s // m1
-                glog = (r1 * j_base[None, :] + s1 * hlog) % q1
-                eqc = (glog[:, :, None] == glog[:, None, :]).sum(axis=2)
-                cover = (eqc == m2).sum(axis=1)
-                good = np.nonzero(cover == ell - ell % m2)[0]
-                for gi in good:
-                    row = rows[gi]
-                    coeffs = [1]
-                    rr = int(row)
-                    for _ in range(inner):
-                        rr, c = divmod(rr, p)
-                        coeffs.append(c)
-                    coeffs.extend(int(d) for d in digits[:outer])
-                    out.append((tuple(coeffs), r))
-        if outer == 0:
-            break
-        for oi in range(outer):
-            digits[oi] += 1
-            if digits[oi] < p:
-                break
-            digits[oi] = 0
-        else:
-            break
+    for lo in range(0, total, rows):
+        ks = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        coeffs = ks[:, None] // qpow % q
+        acc = np.zeros((len(ks), ell, n), dtype=dtype)
+        acc[:, :, 0] = 1  # the constant term
+        for i in range(1, deg + 1):
+            c = coeffs[:, i - 1]
+            terms = exp[log[c][:, None] + unit_logs[i]]
+            terms[c == 0] = 0  # log[0] = -1 looked up a stray entry
+            acc += digits[terms]
+            acc %= p
+        vals = acc @ place
+        ok = (vals != 0).all(axis=1)
+        coeffs, hl = coeffs[ok], log[vals[ok]]
+        for r, m1, m2 in rs:
+            span = ell * m1
+            key = (r * j + hl) % span + span * np.arange(len(hl))[:, None]
+            sizes = np.bincount(key.ravel())[key]
+            good = (sizes == m2).sum(axis=1) == ell - ell % m2
+            out.extend(((1, *c), r) for c in coeffs[good].tolist())
     return out

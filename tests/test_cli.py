@@ -81,6 +81,50 @@ def test_search_out_of_range_m_is_empty(capsys):
     assert json.loads(out)["count"] == 0
 
 
+@pytest.mark.parametrize("extra", [
+    ("--s", "0", "--deg", "1", "--m", "3"),
+    ("--s", "4", "--deg", "1", "--m", "0"),
+    ("--s", "4", "--deg", "-1", "--m", "3"),
+    ("--s", "4", "--deg", "1", "--m", "-2"),
+    ("--s", "4", "--deg", "1", "--m", "3", "--r", "0"),
+    ("--s", "4", "--deg", "1", "--m", "3", "--r=-1"),
+    ("--s", "4", "--deg", "1", "--m", "3", "--r", "13"),
+    ("--s", "4", "--deg", "1", "--m", "3", "--r", "2,99"),
+])
+def test_search_rejects_out_of_range_inputs_exit_2(capsys, extra):
+    # s >= 1 dividing q-1, deg >= 0, m >= 1 and every r in [1, q-1]
+    code, out, err = run_cli(capsys, "search", "13^1", *extra)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+# sha256 of each query's hit list: a kernel change must reproduce these hits,
+# over prime and extension fields, byte for byte
+SEARCH_PINS = {
+    ("13^1", "--s", "4", "--deg", "2", "--m", "3"):
+        "fb22fa9ef2e28f085623345ded23a2b32dc58a8dad87015d7b1653b6aa3d38a1",
+    ("2^4", "--s", "5", "--deg", "2", "--m", "3"):
+        "52dd87a5cb214573bba2d70ea1d00b02cce317c1587f0edcf22371c1fd86ccac",
+    ("5^2", "--s", "4", "--deg", "2", "--m", "2"):
+        "5f04c09f79ab92520cd5f58efc4e7ba7657788ca0dbb093acb68958c93d433f6",
+    ("3^3", "--s", "2", "--deg", "2", "--m", "2"):
+        "e280f73ac80bce302daf1593b90ffa2f3adddce4ced7a097a3d7196ec03904d2",
+    ("2^6", "--s", "21", "--deg", "1", "--m", "3"):
+        "42c1b6fb6fac99311e458a6f2f7b68c44b4958dcebfb4381294e5323398ec9bd",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SEARCH_PINS))
+def test_search_hits_match_pinned_digests(capsys, argv):
+    code, out, _ = run_cli(capsys, "search", *argv, "--json")
+    assert code == 0
+    hits = json.loads(out)["hits"]
+    assert all(hit["verified"] for hit in hits)
+    digest = hashlib.sha256(
+        json.dumps(hits, sort_keys=True).encode()).hexdigest()
+    assert digest == SEARCH_PINS[argv]
+
+
 def test_count_cli(capsys):
     code, out, _ = run_cli(capsys, "count", "--q", "2..4", "--check")
     assert code == 0

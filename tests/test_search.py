@@ -1,11 +1,14 @@
-"""Form search: hit correctness, path agreement, budget contract."""
+"""Form search: hit correctness, completeness, budget and memory contract."""
+
+import itertools
+import tracemalloc
 
 import pytest
 
+from mto1.criteria import HypothesisError
 from mto1.cyclotomic import CycloForm, brute_verdict_star
 from mto1.galois import Poly, build_field
-from mto1.search import (BudgetError, _search_generic, _search_prime_numpy,
-                         admissible_r_values, search_forms)
+from mto1.search import BudgetError, admissible_r_values, search_forms
 
 
 def test_search_small_all_hits_verified():
@@ -18,31 +21,25 @@ def test_search_small_all_hits_verified():
         assert brute_verdict_star(form, 3)
 
 
-def test_search_completeness_against_plain_enumeration():
+@pytest.mark.parametrize("field, s, deg, m", [
+    ((7,), 2, 2, 2), ((13,), 4, 2, 3), ((2, 4), 5, 2, 3), ((5, 2), 4, 2, 2),
+], ids=["F7", "F13", "F16", "F25"])
+def test_search_completeness_against_plain_enumeration(field, s, deg, m):
     # every (r, h) the search reports, and nothing else, is m-to-1
-    spec = build_field(7)
-    hits = search_forms(spec, 2, 2, 2)
+    spec = build_field(*field)
+    hits = search_forms(spec, s, deg, m)
     hit_set = {(h["r"], h["h"]) for h in hits}
     brute = set()
-    for c1 in range(7):
-        for c2 in range(7):
-            h = Poly(spec, (1, c1, c2))
-            try:
-                for r in range(1, 7):
-                    form = CycloForm(spec, r, 2, h)
-                    if brute_verdict_star(form, 2):
-                        brute.add((r, str(h)))
-            except Exception:
-                continue
+    for cs in itertools.product(range(spec.q), repeat=deg):
+        h = Poly(spec, (1, *cs))
+        try:
+            for r in range(1, spec.q):
+                form = CycloForm(spec, r, s, h)
+                if brute_verdict_star(form, m):
+                    brute.add((r, str(h)))
+        except HypothesisError:
+            continue
     assert hit_set == brute
-
-
-def test_numpy_and_generic_paths_agree():
-    spec = build_field(13)
-    rs = admissible_r_values(13, 4, 3)
-    a = sorted(_search_generic(spec, 4, 2, 3, rs))
-    b = sorted(_search_prime_numpy(spec, 4, 2, 3, rs))
-    assert a == b
 
 
 def test_search_extension_field_generic_path():
@@ -62,6 +59,20 @@ def test_search_m_out_of_reduction_range_is_empty():
     # m too large for every (m1, ell) pair: no admissible r at all
     assert admissible_r_values(13, 12, 5) == []
     assert search_forms(build_field(13), 12, 1, 5) == []
+
+
+def test_search_kernel_memory_is_bounded():
+    # the kernel works in chunks of bounded (candidate, point) cells, so
+    # ell = 8190 points per candidate stays far below a q x ell grid
+    spec = build_field(8191)
+    tracemalloc.start()
+    try:
+        hits = search_forms(spec, 1, 1, 1, r_values=[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [h["h"] for h in hits] == ["1"]
+    assert peak < 128 << 20
 
 
 @pytest.mark.slow
