@@ -129,6 +129,15 @@ def _verify_options(args):
     return opts
 
 
+def _disagreement(rec):
+    """One line per disagreeing record: its params, then a grid record's
+    failed checks (its observed list) or a plain record's two verdicts."""
+    detail = (rec["observed"] if rec["predicted"] == "all-agree"
+              else {"predicted": rec["predicted"], "observed": rec["observed"]})
+    return (f"DISAGREEMENT: {json.dumps(rec['params'], sort_keys=True)} "
+            f"{json.dumps(detail, sort_keys=True, default=str)}")
+
+
 def cmd_verify(args):
     args.family = _pick(args.family, args.family_flag, "family")
     job = VerifyJob(args.family, _verify_options(args), seed=args.seed,
@@ -144,7 +153,7 @@ def cmd_verify(args):
               f"skipped={s['skipped']}")
         for rec in report["records"]:
             if rec["agree"] is False:
-                print(f"DISAGREEMENT: {json.dumps(rec['params'], sort_keys=True)}")
+                print(_disagreement(rec))
     if report["summary"]["disagreements"]:
         return EXIT_DISAGREE
     if not _checks(report):

@@ -5,7 +5,16 @@ A CycloForm bundles (field, r, s, h) with s | q-1 and h rootless on the
 subgroup U_ell, ell = (q-1)/s; that rootlessness is assumed by every
 prediction, so it is checked eagerly at construction.  The companion map
 g(x) = x^r1 * h(x)^s1 on U_ell (r1 = r/(r,s), s1 = s/(r,s)) drives all
-verdicts; brute-force scans of f itself act as the independent oracle.
+verdicts; brute-force scans of f itself act as the oracle.
+
+Which scans are independent of the prediction: `star_censuses` evaluates
+h(x^s) at every x in F_q^* from h's coefficients, without reading
+`CycloForm.hlogs` (h on U_ell) or the identity x^s = u_(i mod ell), so it
+checks the reduction from outside; the main grid reads it.  `star_fibers`,
+`brute_verdict_star` and `f_logs` build f from the same `hlogs` that
+`decompose` reads, so a wrong `hlogs` entry would fool them and the
+prediction alike; the m in {2, 3}, ell in {2, 3} and monomial grids still
+use them.
 """
 
 from __future__ import annotations
@@ -13,6 +22,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .criteria import HypothesisError
 from .galois import FieldElement, Poly
@@ -145,23 +156,98 @@ def decompose(form, verify=True):
     s, s1, r1, m1, ell = form.s, form.s1, form.r1, form.m1, form.ell
     g_logs = tuple((r1 * (j * s) + s1 * form.hlogs[j]) % q1 for j in range(ell))
     if verify:
-        sub = q1 // (ell * m1)
-        for t in g_logs:
-            if t % sub:
-                raise RuntimeError("g escaped U_(ell*m1); arithmetic bug")
-        flogs = form.f_logs()
-        for i in range(q1):
-            if (s1 * flogs[i]) % q1 != g_logs[i % ell]:
-                raise RuntimeError("commuting square failed; arithmetic bug")
+        check_square(form, g_logs, form.f_logs())
     return CycloDecomposition(form, m1, r1, s1, ell, g_logs,
                               fiber_census(Counter(g_logs)))
+
+
+def check_square(form, g_logs, flogs):
+    """Raise RuntimeError unless g (dlogs g_logs on U_ell) lies in
+    U_(ell*m1) and f(x)^s1 = g(x^s) at every x = g^i in F_q^*, with f given
+    by its dlogs flogs; a failure means an arithmetic bug.  Both may carry
+    leading axes over forms that share form's field, r and s."""
+    q1 = form.spec.q - 1
+    g_logs = np.asarray(g_logs)
+    if (g_logs % (q1 // (form.ell * form.m1))).any():
+        raise RuntimeError("g escaped U_(ell*m1); arithmetic bug")
+    lhs = form.s1 * np.asarray(flogs) % q1  # x = g^(a*ell + j) maps to u_j
+    if (lhs.reshape(lhs.shape[:-1] + (form.s, form.ell))
+            != g_logs[..., None, :]).any():
+        raise RuntimeError("commuting square failed; arithmetic bug")
+
+
+def g_censuses(forms, rmax):
+    """g = x^r1 h(x)^s1 on U_ell for several forms of one field and s and
+    every r in [1, rmax], from h's values on U_ell (the prediction side):
+    (logs, census) with logs[i, r-1, j] = log g(u_j) for forms[i] and
+    census[i, r-1, c] the number of values that g takes exactly c times
+    (c >= 1)."""
+    form = forms[0]
+    q1 = form.spec.q - 1
+    s = form.s
+    r = np.arange(1, rmax + 1)
+    m1 = np.gcd(r, s)
+    hlogs = np.array([f.hlogs for f in forms])
+    logs = ((r // m1)[:, None] * (s * np.arange(form.ell))
+            + (s // m1)[:, None] * hlogs[:, None, :]) % q1
+    return logs, _row_censuses(logs, q1)
+
+
+def _row_censuses(logs, q1):
+    """census[..., c]: how many values in [0, q1) occur exactly c times in
+    each row (last axis) of logs; one offset bincount counts the fibers, a
+    second one their sizes."""
+    width = logs.shape[-1]
+    flat = logs.reshape(-1, width)
+    row = np.arange(len(flat))
+    fibers = np.bincount((flat + q1 * row[:, None]).ravel(),
+                         minlength=len(flat) * q1)
+    census = np.bincount(fibers + (width + 1) * np.repeat(row, q1),
+                         minlength=len(flat) * (width + 1))
+    return census.reshape(logs.shape[:-1] + (width + 1,))
 
 
 # -- brute-force oracle --------------------------------------------------------
 
 def star_fibers(form):
-    """Fiber Counter of f on F_q^* by direct evaluation (the oracle side)."""
+    """Fiber Counter of f on F_q^* from h's values on U_ell."""
     return Counter(form.f_logs())
+
+
+def star_censuses(spec, s, hs, rmax):
+    """f = x^r h(x^s) on F_q^* for each h in hs and every r in [1, rmax],
+    evaluated from h's coefficient indices at each x = g^k (the independent
+    oracle: it reads neither CycloForm.hlogs nor the identity
+    x^s = u_(k mod ell)).
+
+    Each term c_i x^(i*s) is an exp/log lookup, the terms are summed as
+    base-p digit vectors mod p, and log f(g^k) = r*k + log h(g^(k*s)).
+    Returns (logs, census): logs[i, r-1, k] = log f(g^k) for hs[i] and
+    census[i, r-1, c] the number of image points with a fiber of size c
+    (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*.
+    """
+    q1 = spec.q - 1
+    p, n = spec.p, spec.n
+    exp, log = np.asarray(spec.exp), np.asarray(spec.log)
+    place = p ** np.arange(n)
+    k = np.arange(q1)
+    width = max(len(h.coeffs) for h in hs)
+    coeffs = np.array([h.coeffs + (0,) * (width - len(h.coeffs)) for h in hs])
+    digits = np.zeros((len(hs), q1, n), dtype=np.int64)
+    for i in range(width):
+        c = coeffs[:, i]
+        terms = exp[(log[c][:, None] + i * s * k) % q1]
+        terms[c == 0] = 0  # log[0] = -1 looked up a stray entry
+        digits += terms[..., None] // place % p
+    values = digits % p @ place
+    if not values.all():
+        i, k0 = np.argwhere(values == 0)[0]
+        root = FieldElement(spec, spec.exp_at(int(k0) * s))
+        raise HypothesisError(
+            f"h = {hs[i]} has the root {root} in U_{q1 // s}")
+    logs = (np.arange(1, rmax + 1)[:, None] * k
+            + log[values][:, None, :]) % q1
+    return logs, _row_censuses(logs, q1)
 
 
 def brute_verdict_star(form, m):
@@ -195,19 +281,33 @@ class MainPrediction:
         return {"m": self.m, "verdict": self.verdict, "failed": self.failed}
 
 
-def failed_conjunct(decomp, m):
-    """The main reduction's verdict at m, without building a MainPrediction:
-    0 when f is predicted m-to-1, else the number of the first conjunct that
-    fails, in the order 1: m1 | m, 2: g is (m/m1)-to-1 on U_ell,
-    3: s*(ell mod m2) < m.  An m outside [1, ell*m1] fails conjunct 1 or 2."""
-    if m % decomp.m1:
+def conjunct_rule(s, ell, m1, m, g_verdict):
+    """The main reduction's verdict at m: 0 when f is predicted m-to-1, else
+    the number of the first conjunct that fails, in the order 1: m1 | m,
+    2: g is (m/m1)-to-1 on U_ell (g_verdict(m2) answers it, called at most
+    once), 3: s*(ell mod m2) < m."""
+    if m % m1:
         return 1
-    m2 = m // decomp.m1
-    if not decomp.g_verdict(m2):
+    m2 = m // m1
+    if not g_verdict(m2):
         return 2
-    if not decomp.form.s * (decomp.ell % m2) < m:
+    if not s * (ell % m2) < m:
         return 3
     return 0
+
+
+def conjunct_text(failed, m2, ell):
+    """The name of conjunct number failed, as MainPrediction.failed gives
+    it; None for 0."""
+    return (None, "m1 divides m", f"g is {m2}-to-1 on U_{ell}",
+            "s*(ell mod m2) < m")[failed]
+
+
+def failed_conjunct(decomp, m):
+    """conjunct_rule on a decomposition, without building a MainPrediction.
+    An m outside [1, ell*m1] fails conjunct 1 or 2."""
+    return conjunct_rule(decomp.form.s, decomp.ell, decomp.m1, m,
+                         decomp.g_verdict)
 
 
 def predict_from(decomp, m):
@@ -216,9 +316,7 @@ def predict_from(decomp, m):
         raise ValueError(
             f"m must be in [1, ell*m1] = [1, {decomp.ell * decomp.m1}], got {m}")
     failed = failed_conjunct(decomp, m)
-    text = (None, "m1 divides m",
-            f"g is {m // decomp.m1}-to-1 on U_{decomp.ell}",
-            "s*(ell mod m2) < m")[failed]
+    text = conjunct_text(failed, m // decomp.m1, decomp.ell)
     return MainPrediction(m, not failed, text, decomp)
 
 
@@ -253,15 +351,17 @@ def fq_bridge(form, m):
 
 # -- small multiplicities m = 2, 3 ----------------------------------------------
 
-def small_m_predict(form, m):
-    """Case-list verdicts for m in {2, 3} (s >= 2 required, ell >= m)."""
+def small_m_predict(form, m, dec=None):
+    """Case-list verdicts for m in {2, 3} (s >= 2 required, ell >= m); dec is
+    form's decomposition when the caller holds one, else it is built and
+    verified here."""
     if m not in (2, 3):
         raise ValueError(f"small_m_predict handles m in {{2, 3}}, got {m}")
     if form.s < 2:
         raise HypothesisError(f"case list needs s >= 2, got s = {form.s}")
     if form.ell < m:
         raise HypothesisError(f"case list needs ell >= m, got ell = {form.ell}")
-    d = decompose(form)
+    d = decompose(form) if dec is None else dec
     if m == 2:
         if d.m1 == 1 and form.ell % 2 == 0 and d.g_verdict(2):
             return True, "m1=1, ell even, g 2-to-1"
@@ -279,12 +379,13 @@ def small_m_predict(form, m):
 
 # -- small subgroups ell = 2, 3 --------------------------------------------------
 
-def small_ell_predict(form, m):
-    """Finite case analysis on g's values when U_ell has 2 or 3 points."""
+def small_ell_predict(form, m, dec=None):
+    """Finite case analysis on g's values when U_ell has 2 or 3 points; dec
+    as for small_m_predict."""
     ell = form.ell
     if ell not in (2, 3):
         raise HypothesisError(f"small_ell_predict needs ell in {{2, 3}}, got {ell}")
-    d = decompose(form)
+    d = decompose(form) if dec is None else dec
     if not 1 <= m <= ell * d.m1:
         raise ValueError(f"m out of range [1, {ell * d.m1}]: {m}")
     if ell == 2:

@@ -19,20 +19,25 @@ from dataclasses import dataclass, field as dc_field
 from functools import partial
 from multiprocessing import Pool, cpu_count
 
+import numpy as np
+
 from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        _fibers_of, construction1_verdict,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
-from .cyclotomic import (CycloForm, brute_verdict_star, decompose,
-                         failed_conjunct, hd_family_predict, hd_rootless_gcd,
-                         hd_rootless_scan, lift_from_permutation,
-                         monomial_predict, permutes_field, predict_from,
-                         random_rootless_poly, small_ell_predict,
-                         small_m_predict, star_fibers, transfer_equivalence)
+from .cyclotomic import (CycloForm, brute_verdict_star, check_square,
+                         conjunct_rule, conjunct_text, decompose,
+                         failed_conjunct, g_censuses, hd_family_predict,
+                         hd_rootless_gcd, hd_rootless_scan,
+                         lift_from_permutation, monomial_predict,
+                         permutes_field, predict_from, random_rootless_poly,
+                         small_ell_predict, small_m_predict, star_censuses,
+                         star_fibers, transfer_equivalence)
 from .galois import (FieldElement, Poly, build_field, is_prime,
                      quadratic_base, subfield_indices)
 from .multiplicity import (FiniteMapping, census_verdict, check_m_to_1,
-                           count_by_enumeration, count_formula, fiber_census)
+                           count_by_enumeration, count_formula, fiber_census,
+                           fibers_verdict)
 from .unitline import (base_trace, frob_q, g3_family, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
                        line_poly_deg1, line_poly_rk, quartic_rootless_lemma,
@@ -50,6 +55,9 @@ class VerifyJob:
 
 
 MAIN_GRID_Q = (5, 7, 8, 9, 11, 13, 16, 25, 27, 29, 49, 64)
+# (h, r, x) cells per numpy chunk of a main-grid cell: bounds the f and g
+# fiber tables whatever the field and s
+MAIN_CHUNK_CELLS = 1 << 17
 Q2_GRID = (3, 4, 5, 7, 8)
 
 
@@ -151,27 +159,67 @@ def _eval_count(params):
 
 @evaluator("main_grid")
 def _eval_main_grid(params):
-    """One h over one (q, s): all r in [1, rmax], all m <= min(ell*m1, mcap)."""
-    spec = _field(tuple(params["field"]))
+    """One (q, s) cell: hcount distinct rootless h drawn from the cell's own
+    stream, each checked at all r in [1, 2s] and all m <= min(ell*m1, mcap);
+    one record per h.
+
+    The prediction reads h on U_ell (CycloForm.hlogs) through g's census; the
+    oracle evaluates f over all of F_q^* from h's coefficients.  At r = 1 the
+    commuting square compares g against the oracle's f."""
+    fk = tuple(params["field"])
+    spec = _field(fk)
     s = params["s"]
-    h = Poly(spec, params["h"])
-    mcap = params.get("mcap", 16)
-    rmax = params.get("rmax", 2 * s)
     q1 = spec.q - 1
-    base = CycloForm(spec, 1, s, h)
-    tally = _Tally()
-    for r in range(1, rmax + 1):
-        form = base.with_r(r)
-        dec = decompose(form, verify=(r == 1))
-        census = fiber_census(star_fibers(form))
-        for m in range(1, min(dec.ell * dec.m1, mcap) + 1):
-            predicted = not failed_conjunct(dec, m)
-            observed = census_verdict(census, q1, m)
-            if not tally.check(predicted == observed):
-                tally.bad.append({"r": r, "m": m, "predicted": predicted,
-                                  "observed": observed})
-    return [tally.record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h), "rmax": rmax})]
+    ell = q1 // s
+    rmax = 2 * s
+    # conjunct 2 is the only h-dependent part of the rule: per (r, m), the
+    # verdict is one of two codes, picked per h by g's census at m2
+    pairs = [(r, m, m1) for r in range(1, rmax + 1)
+             for m1 in (math.gcd(r, s),)
+             for m in range(1, min(ell * m1, params["mcap"]) + 1)]
+    rows = np.array([r - 1 for r, _, _ in pairs])
+    ms = np.array([m for _, m, _ in pairs])
+    m2s = np.array([m // m1 for _, m, m1 in pairs])
+    if_g = np.array([conjunct_rule(s, ell, m1, m, lambda _: True)
+                     for _, m, m1 in pairs])
+    if_not = np.array([conjunct_rule(s, ell, m1, m, lambda _: False)
+                       for _, m, m1 in pairs])
+    rng = _rng(params["seed"], "main", spec.q, s)
+    drawn = {}
+    while len(drawn) < params["hcount"]:
+        h = random_rootless_poly(spec, s, params["degmax"], rng)
+        drawn.setdefault(h.coeffs, h)
+    forms = [CycloForm(spec, 1, s, h) for h in drawn.values()]
+    per_chunk = max(1, MAIN_CHUNK_CELLS // (rmax * q1))
+    records = []
+    for lo in range(0, len(forms), per_chunk):
+        chunk = forms[lo:lo + per_chunk]
+        g_logs, g_census = g_censuses(chunk, rmax)
+        try:
+            f_logs, f_census = star_censuses(spec, s, [f.h for f in chunk],
+                                             rmax)
+        except HypothesisError as err:
+            raise RuntimeError(f"the oracle disagrees with the U_ell scan: "
+                               f"{err}") from err
+        check_square(chunk[0], g_logs[:, 0], f_logs[:, 0])
+        g_ok = np.zeros(g_census.shape, dtype=bool)
+        g_ok[..., 1:] = fibers_verdict(g_census[..., 1:], ell,
+                                       np.arange(1, ell + 1))
+        codes = np.where(g_ok[:, rows, m2s], if_g, if_not)
+        predicted = codes == 0
+        observed = fibers_verdict(f_census[:, rows, ms], q1, ms)
+        for form, code, pred, obs in zip(chunk, codes, predicted, observed):
+            tally = _Tally()
+            tally.checked = len(pairs)
+            tally.bad = [{"r": int(rows[i]) + 1, "m": int(ms[i]),
+                          "predicted": bool(pred[i]),
+                          "observed": bool(obs[i]),
+                          "failed_conjunct": conjunct_text(code[i], m2s[i],
+                                                           ell)}
+                         for i in np.flatnonzero(pred != obs)]
+            records.append(tally.record({"field": list(fk[:2]), "s": s,
+                                         "h": str(form.h), "rmax": rmax}))
+    return records
 
 
 @evaluator("main_fixture")
@@ -203,8 +251,9 @@ def _eval_small_m(params):
     tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
         form = base.with_r(r)
-        case_verdict, _ = small_m_predict(form, m)
-        main_verdict = not failed_conjunct(decompose(form, verify=False), m)
+        dec = decompose(form)
+        case_verdict, _ = small_m_predict(form, m, dec)
+        main_verdict = not failed_conjunct(dec, m)
         observed = census_verdict(fiber_census(star_fibers(form)), q1, m)
         if not tally.check(case_verdict == main_verdict == observed):
             tally.bad.append({"r": r, "case": case_verdict,
@@ -256,10 +305,10 @@ def _eval_small_ell(params):
     tally = _Tally()
     for r in range(1, params.get("rmax", 2 * s) + 1):
         form = base.with_r(r)
-        dec = decompose(form, verify=False)
+        dec = decompose(form)
         census = fiber_census(star_fibers(form))
         for m in range(1, ell * dec.m1 + 1):
-            case_verdict, _ = small_ell_predict(form, m)
+            case_verdict, _ = small_ell_predict(form, m, dec)
             main_verdict = not failed_conjunct(dec, m)
             observed = census_verdict(census, q1, m)
             if not tally.check(case_verdict == main_verdict == observed):
@@ -859,21 +908,13 @@ def paper_square_f29():
 # ---------------------------------------------------------------------------
 
 def _main_items(o, seed):
-    hcount = o.get("hcount", 25)
-    degmax = o.get("degmax", 5)
     for q in o.get("qs", MAIN_GRID_Q):
         fk = _field_key_for_q(q)
-        spec = _field(fk)
         for s in _divisors(q - 1):
-            rng = _rng(seed, "main", q, s)
-            seen = set()
-            while len(seen) < hcount:
-                h = random_rootless_poly(spec, s, degmax, rng)
-                if h.coeffs in seen:
-                    continue
-                seen.add(h.coeffs)
-                yield ("main_grid", {"field": fk, "s": s, "h": list(h.coeffs),
-                                     "mcap": o.get("mcap", 16)})
+            yield ("main_grid", {"field": fk, "s": s, "seed": seed,
+                                 "hcount": o.get("hcount", 25),
+                                 "degmax": o.get("degmax", 5),
+                                 "mcap": o.get("mcap", 16)})
     if o.get("fixtures", True):
         yield ("main_fixture", {"field": _fkey(29), "r": 2, "s": 4,
                                 "h": "1,0,0,15,1,1", "m": 12})

@@ -128,7 +128,13 @@ def fiber_census(fib):
 def census_verdict(census, size, m):
     """The m-to-1 rule on a census of a mapping with size domain points:
     exactly floor(size/m) fibers have size m."""
-    return census.get(m, 0) * m == size - size % m
+    return fibers_verdict(census.get(m, 0), size, m)
+
+
+def fibers_verdict(count, size, m):
+    """The m-to-1 rule from the number of fibers of size m; elementwise on
+    numpy arrays of counts and m."""
+    return count * m == size - size % m
 
 
 def verdict_from_histogram(fib, size, m):

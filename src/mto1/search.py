@@ -12,6 +12,7 @@ reported.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -62,6 +63,9 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     bad_r = [r for r in r_values or () if not 1 <= r < q]
     if bad_r:
         raise ValueError(f"r = {bad_r[0]} is outside [1, q-1] = [1, {q - 1}]")
+    repeated = [r for r, n in Counter(r_values or ()).items() if n > 1]
+    if repeated:
+        raise ValueError(f"r = {repeated[0]} is given more than once")
     space = q ** deg
     if space > budget:
         raise BudgetError(

@@ -90,6 +90,7 @@ def test_search_out_of_range_m_is_empty(capsys):
     ("--s", "4", "--deg", "1", "--m", "3", "--r=-1"),
     ("--s", "4", "--deg", "1", "--m", "3", "--r", "13"),
     ("--s", "4", "--deg", "1", "--m", "3", "--r", "2,99"),
+    ("--s", "4", "--deg", "1", "--m", "3", "--r", "1,1"),
 ])
 def test_search_rejects_out_of_range_inputs_exit_2(capsys, extra):
     # s >= 1 dividing q-1, deg >= 0, m >= 1 and every r in [1, q-1]
@@ -287,3 +288,55 @@ def test_grid_reports_match_pinned_digests(capsys, argv):
     digest = hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_PINS[argv]
+
+
+# the acceptance-scale main grid (every q of the grid, the extension fields
+# q = 16..64 included), computed before the grid was batched per (q, s)
+MAIN_REPORT_PIN = \
+    "344cc361bd469857ec6c6d2d8e3225cac687292b787943261eaa79c2d7843f72"
+
+
+def test_main_report_at_acceptance_scale_matches_pin(capsys):
+    code, out, _ = run_cli(capsys, "verify", "main", "--hcount", "200",
+                           "--seed", "0", "--jobs", "1", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    for rec in records:
+        del rec["elapsed"]
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == MAIN_REPORT_PIN
+
+
+def test_main_grid_catches_a_wrong_h_value_on_u_ell(capsys, monkeypatch):
+    # one wrong entry of h's values on U_ell corrupts f_logs and g alike; the
+    # oracle built from h's coefficients must still tell them apart
+    from mto1.cyclotomic import CycloForm
+    init = CycloForm.__init__
+
+    def perturbed(self, *args):
+        init(self, *args)
+        q1 = self.spec.q - 1
+        self.hlogs = ((self.hlogs[0] + 1) % q1,) + self.hlogs[1:]
+
+    monkeypatch.setattr(CycloForm, "__init__", perturbed)
+    code, _, _ = run_cli(capsys, "verify", "main", "--q", "7", "--hcount",
+                         "2", "--jobs", "1")
+    assert code in (cli.EXIT_DISAGREE, cli.EXIT_CRASH)
+
+
+def test_disagreement_line_lists_failed_checks(capsys, monkeypatch):
+    # a rule that predicts no m-to-1 map at all disagrees with the oracle
+    monkeypatch.setattr(harness, "conjunct_rule", lambda *args: 3)
+    code, out, _ = run_cli(capsys, "verify", "main", "--q", "7", "--hcount",
+                           "2", "--grid", "fixtures=0", "--jobs", "1")
+    assert code == cli.EXIT_DISAGREE
+    lines = [ln for ln in out.splitlines() if ln.startswith("DISAGREEMENT: ")]
+    assert lines
+    for line in lines:
+        params, bad = line[len("DISAGREEMENT: "):].split("} [", 1)
+        assert json.loads(params + "}")["checked"] > 0
+        for entry in json.loads("[" + bad):
+            assert entry["predicted"] is False and entry["observed"] is True
+            assert entry["failed_conjunct"] == "s*(ell mod m2) < m"
+            assert {"r", "m"} <= set(entry)

@@ -19,6 +19,8 @@ from mto1.cyclotomic import (CycloForm, brute_admissible_star,
                              transfer_equivalence)
 from mto1.galois import FieldElement, Poly, build_field
 from mto1.multiplicity import check_m_to_1, verdict_from_histogram
+from mto1.cyclotomic import g_censuses, star_censuses
+from mto1.multiplicity import fiber_census
 
 F64 = (2, 6, (1, 1, 0, 1, 1, 0, 1))
 
@@ -585,3 +587,38 @@ def test_failed_conjunct_and_cached_g_verdict_match_predict_from(q):
                         assert pred.failed.startswith("g is ")
                     else:
                         assert pred.failed == texts.get(failed)
+
+ORACLE_FIELDS = {"F13": (13,), "F16": (2, 4), "F25": (5, 2), "F27": (3, 3),
+                 "F29": (29,), "F49": (7, 2), "F64": (2, 6), "F64b": F64}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_star_censuses_match_star_fibers(name):
+    # the coefficient-side oracle and the batched g rows against the per-form
+    # scans that read h on U_ell, for every r in [1, 2s]
+    spec = build_field(*ORACLE_FIELDS[name])
+    q = spec.q
+    rng = random.Random(f"oracle-{name}")
+    for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+        hs = [random_rootless_poly(spec, s, rng.randrange(0, 6), rng)
+              for _ in range(3)]
+        f_logs, f_census = star_censuses(spec, s, hs, 2 * s)
+        bases = [CycloForm(spec, 1, s, h) for h in hs]
+        g_logs, g_census = g_censuses(bases, 2 * s)
+        for i, base in enumerate(bases):
+            for r in range(1, 2 * s + 1):
+                form = base.with_r(r)
+                assert f_logs[i, r - 1].tolist() == form.f_logs()
+                assert {c: n for c, n in enumerate(f_census[i, r - 1].tolist())
+                        if c and n} == fiber_census(star_fibers(form))
+                dec = decompose(form)
+                assert tuple(g_logs[i, r - 1].tolist()) == dec.g_logs
+                assert {c: n for c, n in enumerate(g_census[i, r - 1].tolist())
+                        if c and n} == dec.g_census
+
+
+def test_star_censuses_rejects_a_root():
+    spec = build_field(13)
+    h = Poly.from_string(spec, "12,1")  # x - 1 vanishes at x^s = 1
+    with pytest.raises(HypothesisError):
+        star_censuses(spec, 4, [Poly.from_string(spec, "1,1"), h], 8)
