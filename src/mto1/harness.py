@@ -172,14 +172,15 @@ def _eval_main_grid(params):
     q1 = spec.q - 1
     ell = q1 // s
     rmax = 2 * s
+    pairs = []
+    for r in range(1, rmax + 1):
+        m1 = math.gcd(r, s)
+        mtop = min(ell * m1, params["mcap"])
+        pairs += [(r, m, m1) for m in range(1, mtop + 1)]
+    rs, ms, m1s = np.array(pairs).T
+    m2s = ms // m1s
     # conjunct 2 is the only h-dependent part of the rule: per (r, m), the
     # verdict is one of two codes, picked per h by g's census at m2
-    pairs = [(r, m, m1) for r in range(1, rmax + 1)
-             for m1 in (math.gcd(r, s),)
-             for m in range(1, min(ell * m1, params["mcap"]) + 1)]
-    rows = np.array([r - 1 for r, _, _ in pairs])
-    ms = np.array([m for _, m, _ in pairs])
-    m2s = np.array([m // m1 for _, m, m1 in pairs])
     if_g = np.array([conjunct_rule(s, ell, m1, m, lambda _: True)
                      for _, m, m1 in pairs])
     if_not = np.array([conjunct_rule(s, ell, m1, m, lambda _: False)
@@ -205,13 +206,13 @@ def _eval_main_grid(params):
         g_ok = np.zeros(g_census.shape, dtype=bool)
         g_ok[..., 1:] = fibers_verdict(g_census[..., 1:], ell,
                                        np.arange(1, ell + 1))
-        codes = np.where(g_ok[:, rows, m2s], if_g, if_not)
+        codes = np.where(g_ok[:, rs - 1, m2s], if_g, if_not)
         predicted = codes == 0
-        observed = fibers_verdict(f_census[:, rows, ms], q1, ms)
+        observed = fibers_verdict(f_census[:, rs - 1, ms], q1, ms)
         for form, code, pred, obs in zip(chunk, codes, predicted, observed):
             tally = _Tally()
             tally.checked = len(pairs)
-            tally.bad = [{"r": int(rows[i]) + 1, "m": int(ms[i]),
+            tally.bad = [{"r": int(rs[i]), "m": int(ms[i]),
                           "predicted": bool(pred[i]),
                           "observed": bool(obs[i]),
                           "failed_conjunct": conjunct_text(code[i], m2s[i],
