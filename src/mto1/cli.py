@@ -17,9 +17,9 @@ import json
 import sys
 
 from .criteria import HypothesisError
-from .galois import FieldError, Poly, ScaleError, parse_field
+from .galois import FieldError, Poly, ScaleError, eval_powers, parse_field
 from .harness import FAMILIES, EvaluatorError, VerifyJob, run_job
-from .multiplicity import (FiniteMapping, admissible_m_set, check_m_to_1,
+from .multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fiber_histogram)
 from .search import BudgetError, DEFAULT_BUDGET, search_forms
@@ -81,8 +81,11 @@ def cmd_analyze(args):
     args.poly = _pick(args.poly, args.poly_flag, "polynomial")
     spec = parse_field(args.field)
     poly = Poly.from_string(spec, args.poly)
-    domain = spec.star_elements() if args.star else spec.elements()
-    mapping = FiniteMapping.from_function(domain, poly)
+    domain = spec.exp[:spec.q - 1]  # F_q^* by dlog, after 0 unless --star
+    images = eval_powers(spec, [poly.coeffs], 1)[0].tolist()
+    if not args.star:
+        domain, images = [0] + domain, [poly.eval_index(0)] + images
+    mapping = IndexMapping(domain, images, spec.from_index)
     hist = fiber_histogram(mapping)
     admissible = sorted(admissible_m_set(mapping))
     ms = [args.m] if args.m is not None else admissible

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .criteria import HypothesisError
-from .galois import FieldElement, Poly
-from .multiplicity import (FiniteMapping, census_verdict, check_m_to_1,
-                           fiber_census, verdict_from_histogram)
+from .galois import FieldElement, Poly, eval_powers
+from .multiplicity import (IndexMapping, admissible_m_set, census_verdict,
+                           check_m_to_1, fiber_census,
+                           verdict_from_histogram)
 
 
 def _check_exponent(r):
@@ -101,18 +102,16 @@ class CycloForm:
         return spec.exp_at((self.r * i + self.hlogs[i % self.ell]) % q1)
 
     def star_mapping(self):
-        """f as an explicit mapping on F_q^* (element points, dlog order)."""
-        spec = self.spec
-        logs = self.f_logs()
-        domain = tuple(FieldElement(spec, spec.exp_at(i)) for i in range(len(logs)))
-        images = tuple(FieldElement(spec, spec.exp_at(t)) for t in logs)
-        return FiniteMapping(domain, images)
+        """f on F_q^* (element indices in dlog order), from f_logs."""
+        exp, logs = self.spec.exp, self.f_logs()
+        return IndexMapping(exp[:len(logs)], [exp[t] for t in logs],
+                            self.spec.from_index)
 
     def field_mapping(self):
-        """f on all of F_q (zero included)."""
+        """f on all of F_q (zero first)."""
         star = self.star_mapping()
-        zero = self.spec.zero
-        return FiniteMapping((zero,) + star.domain, (zero,) + star.images)
+        return IndexMapping(np.append(0, star.domain),
+                            np.append(0, star.images), self.spec.from_index)
 
 
 @dataclass(frozen=True)
@@ -129,11 +128,9 @@ class CycloDecomposition:
     g_census: dict = dc_field(compare=False, repr=False)
 
     def g_mapping(self):
-        spec = self.form.spec
-        s = self.form.s
-        dom = tuple(FieldElement(spec, spec.exp_at(j * s)) for j in range(self.ell))
-        img = tuple(FieldElement(spec, spec.exp_at(t)) for t in self.g_logs)
-        return FiniteMapping(dom, img)
+        spec, s = self.form.spec, self.form.s
+        return IndexMapping([spec.exp[j * s] for j in range(self.ell)],
+                            [spec.exp[t] for t in self.g_logs], spec.from_index)
 
     def g_report(self, m2):
         return check_m_to_1(self.g_mapping(), m2)
@@ -220,33 +217,23 @@ def star_censuses(spec, s, hs, rmax):
     oracle: it reads neither CycloForm.hlogs nor the identity
     x^s = u_(k mod ell)).
 
-    Each term c_i x^(i*s) is an exp/log lookup, the terms are summed as
-    base-p digit vectors mod p, and log f(g^k) = r*k + log h(g^(k*s)).
+    h(g^(k*s)) comes from galois.eval_powers (exp/log lookups and base-p
+    digit sums), and log f(g^k) = r*k + log h(g^(k*s)).
     Returns (logs, census): logs[i, r-1, k] = log f(g^k) for hs[i] and
     census[i, r-1, c] the number of image points with a fiber of size c
     (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*.
     """
     q1 = spec.q - 1
-    p, n = spec.p, spec.n
-    exp, log = np.asarray(spec.exp), np.asarray(spec.log)
-    place = p ** np.arange(n)
-    k = np.arange(q1)
     width = max(len(h.coeffs) for h in hs)
-    coeffs = np.array([h.coeffs + (0,) * (width - len(h.coeffs)) for h in hs])
-    digits = np.zeros((len(hs), q1, n), dtype=np.int64)
-    for i in range(width):
-        c = coeffs[:, i]
-        terms = exp[(log[c][:, None] + i * s * k) % q1]
-        terms[c == 0] = 0  # log[0] = -1 looked up a stray entry
-        digits += terms[..., None] // place % p
-    values = digits % p @ place
+    values = eval_powers(spec, [h.coeffs + (0,) * (width - len(h.coeffs))
+                                for h in hs], s)
     if not values.all():
         i, k0 = np.argwhere(values == 0)[0]
         root = FieldElement(spec, spec.exp_at(int(k0) * s))
         raise HypothesisError(
             f"h = {hs[i]} has the root {root} in U_{q1 // s}")
-    logs = (np.arange(1, rmax + 1)[:, None] * k
-            + log[values][:, None, :]) % q1
+    logs = (np.arange(1, rmax + 1)[:, None] * np.arange(q1)
+            + np.asarray(spec.log)[values][:, None, :]) % q1
     return logs, _row_censuses(logs, q1)
 
 
@@ -262,10 +249,7 @@ def brute_report_star(form, m):
 
 
 def brute_admissible_star(form):
-    fib = star_fibers(form)
-    q1 = form.spec.q - 1
-    return frozenset(m for m in range(1, q1 + 1)
-                     if verdict_from_histogram(fib, q1, m))
+    return admissible_m_set(form.star_mapping())
 
 
 # -- the main reduction --------------------------------------------------------

@@ -14,6 +14,8 @@ import math
 import re
 from functools import lru_cache
 
+import numpy as np
+
 MAX_FIELD_SIZE = 1 << 16
 
 
@@ -134,7 +136,8 @@ class FieldSpec:
     Immutable after construction; safe to share across threads and processes.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "exp", "log", "_gen", "__weakref__")
+    __slots__ = ("p", "n", "q", "modulus", "exp", "log", "_gen", "_modmask",
+                 "__weakref__")
 
     def __init__(self, p, n=1, modulus=None):
         if not is_prime(p):
@@ -157,6 +160,7 @@ class FieldSpec:
             if not _is_irreducible(modulus, p):
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
+        self._modmask = _coeffs_to_idx(modulus, p)  # the modulus as an index
         self._build_tables()
 
     # -- raw arithmetic used only while bootstrapping the tables --
@@ -166,7 +170,7 @@ class FieldSpec:
         if n == 1:
             return a * b % p
         if p == 2:
-            modmask = _coeffs_to_idx(self.modulus, 2)
+            modmask = self._modmask
             top = 1 << n
             r = 0
             while b:
@@ -200,7 +204,7 @@ class FieldSpec:
                 break
         if gen is None:
             raise FieldError("no primitive element found")  # unreachable
-        exp = [0] * (2 * q1 if q1 else 1)
+        exp = [0] * (2 * q1)
         log = [-1] * self.q
         e = 1
         for k in range(q1):
@@ -208,10 +212,7 @@ class FieldSpec:
             exp[k + q1] = e
             log[e] = k
             e = self._raw_mul(e, gen)
-        if q1 == 0:
-            exp[0] = 1
-            log[1] = 0
-        elif e != 1:
+        if e != 1:
             raise FieldError("exp table did not close")  # unreachable
         self._gen = gen
         self.exp = exp
@@ -229,26 +230,14 @@ class FieldSpec:
         while i or j:
             i, di = divmod(i, p)
             j, dj = divmod(j, p)
-            s = di + dj
-            if s >= p:
-                s -= p
-            out += s * m
+            out += (di + dj) % p * m
             m *= p
         return out
 
     def neg(self, i):
-        p = self.p
-        if p == 2:
-            return i
         if self.n == 1:
-            return -i % p
-        out, m = 0, 1
-        while i:
-            i, d = divmod(i, p)
-            if d:
-                out += (p - d) * m
-            m *= p
-        return out
+            return -i % self.p
+        return i if self.p == 2 else self.mul(i, self.p - 1)  # -1 is p - 1
 
     def sub(self, i, j):
         return self.add(i, self.neg(j))
@@ -271,15 +260,7 @@ class FieldSpec:
             if e == 0:
                 return 1
             raise ZeroDivisionError("0 to a negative power")
-        q1 = self.q - 1
-        if q1 == 0:
-            return 1
-        return self.exp[(self.log[i] * e) % q1]
-
-    def dlog(self, i):
-        if i == 0:
-            raise ZeroDivisionError("discrete log of 0")
-        return self.log[i]
+        return self.exp[self.log[i] * e % (self.q - 1)]
 
     def exp_at(self, k):
         """Index of g^k for the canonical primitive element g."""
@@ -342,6 +323,16 @@ class FieldSpec:
         return f"GF({self.p}^{self.n})"
 
 
+def _binary(op):
+    """FieldElement operator: op(spec, i, j) on the operands' indices."""
+    def method(self, other):
+        j = self._coerce(other)
+        if j is None:
+            return NotImplemented
+        return FieldElement(self.spec, op(self.spec, self.index, j))
+    return method
+
+
 class FieldElement:
     """Immutable element of one FieldSpec, stored by its encoding index."""
 
@@ -368,45 +359,12 @@ class FieldElement:
             return other % self.spec.p
         return None
 
-    def __add__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.index, j))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.index, j))
-
-    def __rsub__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(j, self.index))
-
-    def __mul__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.index, j))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.index, self.spec.inv(j)))
-
-    def __rtruediv__(self, other):
-        j = self._coerce(other)
-        if j is None:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(j, self.spec.inv(self.index)))
+    __add__ = __radd__ = _binary(FieldSpec.add)
+    __sub__ = _binary(FieldSpec.sub)
+    __rsub__ = _binary(lambda spec, i, j: spec.sub(j, i))
+    __mul__ = __rmul__ = _binary(FieldSpec.mul)
+    __truediv__ = _binary(lambda spec, i, j: spec.mul(i, spec.inv(j)))
+    __rtruediv__ = _binary(lambda spec, i, j: spec.mul(j, spec.inv(i)))
 
     def __neg__(self):
         return FieldElement(self.spec, self.spec.neg(self.index))
@@ -552,6 +510,24 @@ def poly_eval(f, x):
     if f.spec != x.spec:
         raise FieldError("field mismatch between polynomial and point")
     return FieldElement(x.spec, f.eval_index(x.index))
+
+
+def eval_powers(spec, coeffs, step):
+    """out[i, k] = h_i(g^(k*step)), k < q-1, as indices; row i of coeffs holds
+    h_i's coefficient indices low to high.  Terms are exp/log lookups, and
+    their sum is taken digit by digit in base p, in numpy."""
+    q1, p = spec.q - 1, spec.p
+    exp, log = np.asarray(spec.exp), np.asarray(spec.log)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    j = np.flatnonzero(coeffs.any(axis=0))  # powers with a nonzero term
+    coeffs = coeffs[:, j]
+    terms = exp[(log[coeffs][..., None]
+                 + (j * step % q1)[:, None] * np.arange(q1)) % q1]
+    terms[coeffs == 0] = 0  # log[0] = -1 looked up a stray entry
+    if p == 2:
+        return np.bitwise_xor.reduce(terms, axis=1)
+    return sum((terms // d % p).sum(axis=1) % p * d
+               for d in p ** np.arange(spec.n))
 
 
 def subfield_indices(spec, d):

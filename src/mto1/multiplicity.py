@@ -2,7 +2,8 @@
 
 A mapping f on a finite set A is m-to-1 when exactly floor(#A/m) image
 points have fibers of size m; the remaining #A mod m domain points are the
-exceptional set.  Everything here is decided from the fiber histogram.
+exceptional set.  Everything here is decided from the fiber census
+{fiber size: count}, which answers every m at once.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,7 @@ def _token(point):
 class FiniteMapping:
     """Total map on an explicit nonempty finite domain (parallel tuples)."""
 
-    __slots__ = ("domain", "images", "_fibers")
+    __slots__ = ("domain", "images", "_fibers", "_census")
 
     def __init__(self, domain, images):
         domain = tuple(domain)
@@ -59,7 +62,7 @@ class FiniteMapping:
             raise ValueError("domain points must be distinct")
         self.domain = domain
         self.images = images
-        self._fibers = None
+        self._fibers = self._census = None
 
     @classmethod
     def from_table(cls, table):
@@ -81,6 +84,17 @@ class FiniteMapping:
             self._fibers = Counter(self.images)
         return self._fibers
 
+    def census(self):
+        if self._census is None:
+            self._census = fiber_census(self.fiber_sizes())
+        return self._census
+
+    def exceptional(self, m):
+        """Domain points whose fiber size is not m, in domain order."""
+        fib = self.fiber_sizes()
+        return tuple(a for a, b in zip(self.domain, self.images)
+                     if fib[b] != m)
+
     def restrict(self, points):
         table = self.as_table()
         return FiniteMapping(tuple(points), tuple(table[a] for a in points))
@@ -91,32 +105,56 @@ class FiniteMapping:
         return FiniteMapping(self.domain, tuple(table[b] for b in self.images))
 
 
+class IndexMapping:
+    """A mapping held as numpy arrays of codes >= 0 (element indices, say):
+    domain[i] maps to images[i], and np.bincount gives the census.
+    point(code) names an exceptional point in a report."""
+
+    __slots__ = ("domain", "images", "point", "_fibers", "_census")
+
+    def __init__(self, domain, images, point):
+        self.domain, self.images = np.asarray(domain), np.asarray(images)
+        self.point = point
+        self._fibers = np.bincount(self.images)
+        counts = np.bincount(self._fibers)
+        sizes = np.flatnonzero(counts[1:]) + 1
+        self._census = Counter(dict(zip(sizes.tolist(),
+                                        counts[sizes].tolist())))
+
+    def __len__(self):
+        return len(self.domain)
+
+    def census(self):
+        return self._census
+
+    def exceptional(self, m):
+        codes = self.domain[self._fibers[self.images] != m]
+        return tuple(map(self.point, codes.tolist()))
+
+
 def fiber_histogram(mapping):
     """Multiset of nonzero fiber sizes, as an ascending tuple."""
-    return tuple(sorted(mapping.fiber_sizes().values()))
+    return tuple(sorted(mapping.census().elements()))
 
 
 def check_m_to_1(mapping, m):
-    """Definition-level verdict: are there floor(#A/m) fibers of size m?"""
+    """Definition-level verdict, read from the mapping's census: are there
+    floor(#A/m) fibers of size m?"""
     size = len(mapping)
     if not isinstance(m, int) or not 1 <= m <= size:
         raise ValueError(f"m must be an integer in [1, {size}], got {m}")
-    fib = mapping.fiber_sizes()
-    k = sum(1 for c in fib.values() if c == m)
+    k = mapping.census().get(m, 0)
     r = size % m
-    verdict = k * m == size - r
-    if verdict and r:
-        exc = tuple(a for a, b in zip(mapping.domain, mapping.images)
-                    if fib[b] != m)
-    else:
-        exc = ()
-    return Mto1Report(m, verdict, k, r, exc, tuple(sorted(fib.values())))
+    verdict = fibers_verdict(k, size, m)
+    exc = mapping.exceptional(m) if verdict and r else ()
+    return Mto1Report(m, verdict, k, r, exc, fiber_histogram(mapping))
 
 
 def admissible_m_set(mapping):
-    """All m in [1, #A] for which the mapping is m-to-1 (possibly empty)."""
-    return frozenset(m for m in range(1, len(mapping) + 1)
-                     if check_m_to_1(mapping, m).verdict)
+    """All m in [1, #A] for which the mapping is m-to-1 (possibly empty);
+    only a fiber size that occurs can be one, as floor(#A/m) >= 1."""
+    census, size = mapping.census(), len(mapping)
+    return frozenset(m for m in census if census_verdict(census, size, m))
 
 
 def fiber_census(fib):
@@ -163,8 +201,6 @@ def count_by_enumeration(q):
     """
     totals = {m: 0 for m in range(1, q + 1)}
     for images in product(range(q), repeat=q):
-        fib = Counter(images)
-        for m in totals:
-            if verdict_from_histogram(fib, q, m):
-                totals[m] += 1
+        for m in admissible_m_set(FiniteMapping(range(q), images)):
+            totals[m] += 1
     return totals

@@ -189,6 +189,43 @@ def test_analyze_with_explicit_m(capsys):
     assert "m=2" in out and "verdict=False" in out
 
 
+# sha256 of the whole `analyze --json` output, computed before analyze read
+# one census over index arrays (the 2^16 query took about 2 min then)
+ANALYZE_PINS = {
+    ("2^14", "0,1"):
+        "0ae8dcb04c28157ff1fe3c45f7c7f7f367a4303a4701fef29d6cb6e84b959761",
+    ("8191^1", "0,0,1,0,1", "--star"):
+        "68be55744f5ced6d42c5552be0283b52378536040146e1ef19573e9dbabb434f",
+    ("3^8", "0,1,0,1"):
+        "5f8ee78869e8ad291fe4227a4b5fded2771227ac623d6a7c95c8c9766a282aba",
+    ("2^16", "0,1"):
+        "fe7ce521ff18727893a943b810a1e8a90325313fedb001d5bcdbb084cdc20f65",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ANALYZE_PINS))
+def test_analyze_output_matches_pinned_digest(capsys, argv):
+    code, out, _ = run_cli(capsys, "analyze", *argv, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_PINS[argv]
+
+
+def test_analyze_builds_no_field_element_per_point(capsys, monkeypatch):
+    # elements are made only for tokens parsed and exceptional points printed
+    from mto1.galois import FieldElement
+    made = []
+    init = FieldElement.__init__
+
+    def counting(self, *args):
+        made.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counting)
+    code, out, _ = run_cli(capsys, "analyze", "2^16", "0,1", "--json")
+    assert code == 0 and json.loads(out)["size"] == 1 << 16
+    assert len(made) < 64
+
+
 def test_flag_aliases_match_positionals(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "5^1", "0,1,0,1", "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--field", "5^1",

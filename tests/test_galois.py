@@ -5,10 +5,10 @@ import random
 import pytest
 
 from mto1.galois import (FieldError, Poly, ScaleError, build_field,
-                         format_element, format_field, parse_element,
-                         parse_field, poly_eval, primitive_element,
-                         relative_trace, subfield_indices, trace,
-                         unity_subgroup)
+                         eval_powers, format_element, format_field,
+                         parse_element, parse_field, poly_eval,
+                         primitive_element, relative_trace, subfield_indices,
+                         trace, unity_subgroup)
 
 F64_MODULUS = (1, 1, 0, 1, 1, 0, 1)  # x^6 + x^4 + x^3 + x + 1
 
@@ -294,3 +294,25 @@ def test_prime_subfield_elements_hash_like_their_ints(key):
         assert {spec.element(c), c} == {c}
         assert hash(spec.element(c)) == hash(c)
     assert len(set(spec.elements()) | set(range(spec.p))) == spec.q
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 6), (3, 3),
+                                 (7, 2)])
+def test_eval_powers_matches_eval_index_everywhere(p, n):
+    spec = build_field(p, n)
+    q, q1 = spec.q, spec.q - 1
+    rng = random.Random(f"eval-powers-{p}-{n}")
+    polys = [(), (1,), (q - 1,), (0, 1), (0,) * (q + 1) + (1,)]
+    polys += [tuple(rng.randrange(q) for _ in range(rng.randrange(2 * q + 3)))
+              for _ in range(6)]
+    width = max(len(c) for c in polys)
+    matrix = [c + (0,) * (width - len(c)) for c in polys]
+    for step in sorted({1, 2, q1, q1 + 1, 3 * q1 + 2}):
+        out = eval_powers(spec, matrix, step)
+        assert out.shape == (len(polys), q1)
+        for row, coeffs in zip(out, polys):
+            h = Poly(spec, coeffs)
+            assert row.tolist() == [h.eval_index(spec.exp_at(k * step))
+                                    for k in range(q1)]
+    # a single row and the zero-width matrix of the zero polynomial
+    assert eval_powers(spec, [()], 1).tolist() == [[0] * q1]

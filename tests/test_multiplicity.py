@@ -4,10 +4,11 @@ formula, with exhaustive oracles."""
 import math
 import random
 
+import numpy as np
 import pytest
 
 from mto1.galois import build_field
-from mto1.multiplicity import (FiniteMapping, admissible_m_set,
+from mto1.multiplicity import (FiniteMapping, IndexMapping, admissible_m_set,
                                census_verdict, check_m_to_1,
                                count_by_enumeration, count_formula,
                                fiber_census, fiber_histogram,
@@ -236,3 +237,59 @@ def test_census_verdict_matches_check_m_to_1():
             want = check_m_to_1(mp, m).verdict
             assert census_verdict(census, size, m) == want
             assert verdict_from_histogram(mp.fiber_sizes(), size, m) == want
+
+
+def _definition_report(domain, images, m):
+    """Every Mto1Report field at m, straight from the definition: f is
+    m-to-1 when exactly floor(#A/m) image points have fibers of size m, and
+    the points outside those fibers are the exceptional set."""
+    size = len(domain)
+    sizes = {b: list(images).count(b) for b in set(images)}
+    k = sum(1 for b in sizes if sizes[b] == m)
+    verdict = k == size // m
+    exc = ()
+    if verdict and size % m:
+        exc = tuple(a for a, b in zip(domain, images) if sizes[b] != m)
+    return (m, verdict, k, size % m, exc, tuple(sorted(sizes.values())))
+
+
+def _random_mappings():
+    rng = random.Random("census-views")
+    yield ("a",), (0,)                             # size 1
+    yield tuple("abcdefg"), (3,) * 7               # constant
+    yield tuple(range(9)), tuple(range(8, -1, -1))  # all singletons
+    yield tuple(range(7)), (0, 0, 0, 1, 1, 1, 2)   # 7 mod 3 = 1 left over
+    for _ in range(220):
+        size = rng.randrange(1, 21)
+        codomain = rng.randrange(1, size + 2)
+        images = tuple(rng.randrange(codomain) for _ in range(size))
+        domain = tuple(rng.sample(range(100), size))
+        yield domain, images
+
+
+def _as_index(domain, images):
+    # codes 0..size-1 name the points; point() maps a code back
+    return IndexMapping(np.arange(len(domain)), np.array(images),
+                        lambda c: domain[c])
+
+
+@pytest.mark.parametrize("build", [FiniteMapping, _as_index])
+def test_census_views_match_a_definition_level_scan(build):
+    seen_leftover = False
+    for domain, images in _random_mappings():
+        mp = build(domain, images)
+        size = len(domain)
+        want = {m for m in range(1, size + 1)
+                if _definition_report(domain, images, m)[1]}
+        assert admissible_m_set(mp) == want
+        assert fiber_histogram(mp) == _definition_report(domain, images, 1)[5]
+        for m in range(1, size + 1):
+            rep = check_m_to_1(mp, m)
+            got = (rep.m, rep.verdict, rep.k, rep.r, rep.exceptional_set,
+                   rep.histogram)
+            assert got == _definition_report(domain, images, m)
+            assert type(rep.k) is int and type(rep.verdict) is bool
+            seen_leftover |= rep.verdict and rep.r > 0
+        with pytest.raises(ValueError):
+            check_m_to_1(mp, size + 1)
+    assert seen_leftover
