@@ -3,10 +3,11 @@ theorem families over parameter grids, search for m-to-1 forms, and count
 m-to-1 self-maps.
 
 Exit codes: 0 success (and, for verify, zero disagreements); 1 verify found
-disagreements; 2 parse failure; 3 unsupported scale; 4 search budget exceeded;
-5 verify ran zero checks (a grid record counts its params.checked, any other
-record that is not skipped counts one); 6 a verify evaluator crashed (one
-line on stderr names the evaluator, its params and the exception).
+disagreements, or a search hit failed re-verification; 2 parse failure;
+3 unsupported scale; 4 search budget exceeded; 5 verify ran zero checks (a
+grid record counts its params.checked, any other record that is not skipped
+counts one); 6 a verify evaluator crashed (one line on stderr names the
+evaluator, its params and the exception).
 """
 
 from __future__ import annotations
@@ -199,6 +200,8 @@ def cmd_search(args):
               f"deg h <= {args.deg} over GF({spec.q})")
         for hit in hits:
             print(f"r={hit['r']} h={hit['h']} verified={hit['verified']}")
+    if not all(hit["verified"] for hit in hits):
+        return EXIT_DISAGREE
     return EXIT_OK
 
 

@@ -7,14 +7,14 @@ prediction, so it is checked eagerly at construction.  The companion map
 g(x) = x^r1 * h(x)^s1 on U_ell (r1 = r/(r,s), s1 = s/(r,s)) drives all
 verdicts; brute-force scans of f itself act as the oracle.
 
-Which scans are independent of the prediction: `star_censuses` evaluates
-h(x^s) at every x in F_q^* from h's coefficients, without reading
-`CycloForm.hlogs` (h on U_ell) or the identity x^s = u_(i mod ell), so it
-checks the reduction from outside; the main grid reads it.  `star_fibers`,
-`brute_verdict_star` and `f_logs` build f from the same `hlogs` that
-`decompose` reads, so a wrong `hlogs` entry would fool them and the
-prediction alike; the m in {2, 3}, ell in {2, 3} and monomial grids still
-use them.
+There is one oracle, `star_censuses`: it evaluates h(x^s) at every x in
+F_q^* from h's coefficients, without reading `CycloForm.hlogs` (h on U_ell)
+or the identity x^s = u_(i mod ell), so it checks the reduction from
+outside.  Every family, the commuting square of `decompose(verify=True)`,
+`permutes_field` and search's re-verification read it; `star_fibers` and
+`brute_verdict_star` are its one-form views.  `hlogs` is read only by the
+prediction side: `CycloForm`, `with_r`, `decompose`, `g_censuses`,
+`monomial_predict` and `infer_monomial_params`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .galois import FieldElement, Poly, eval_powers
-from .multiplicity import (IndexMapping, admissible_m_set, census_verdict,
-                           check_m_to_1, fiber_census,
-                           verdict_from_histogram)
+from .multiplicity import (IndexMapping, census_verdict, check_m_to_1,
+                           fiber_census, fibers_verdict)
 
 
 def _check_exponent(r):
@@ -86,33 +85,6 @@ class CycloForm:
         return (f"CycloForm({self.spec!r}, r={self.r}, s={self.s}, "
                 f"h=[{self.h}])")
 
-    # f on F_q^*, by discrete logs: x = g^i maps to g^(r*i + log h(g^(i*s)))
-    def f_logs(self):
-        q1 = self.spec.q - 1
-        r, ell, hl = self.r, self.ell, self.hlogs
-        return [(r * i + hl[i % ell]) % q1 for i in range(q1)]
-
-    def f_image_index(self, xi):
-        """f at one element index (0 maps to 0 since r >= 1)."""
-        spec = self.spec
-        if xi == 0:
-            return 0
-        i = spec.log[xi]
-        q1 = spec.q - 1
-        return spec.exp_at((self.r * i + self.hlogs[i % self.ell]) % q1)
-
-    def star_mapping(self):
-        """f on F_q^* (element indices in dlog order), from f_logs."""
-        exp, logs = self.spec.exp, self.f_logs()
-        return IndexMapping(exp[:len(logs)], [exp[t] for t in logs],
-                            self.spec.from_index)
-
-    def field_mapping(self):
-        """f on all of F_q (zero first)."""
-        star = self.star_mapping()
-        return IndexMapping(np.append(0, star.domain),
-                            np.append(0, star.images), self.spec.from_index)
-
 
 @dataclass(frozen=True)
 class CycloDecomposition:
@@ -142,7 +114,8 @@ class CycloDecomposition:
 
 
 def decompose(form, verify=True):
-    """Build g on U_ell; by default verify the commuting square exhaustively.
+    """Build g on U_ell; by default verify the commuting square exhaustively
+    against the oracle's f.
 
     Verification failures raise RuntimeError: they would mean an arithmetic
     bug, not a property of the input.  Grid sweeps may pass verify=False to
@@ -153,7 +126,7 @@ def decompose(form, verify=True):
     s, s1, r1, m1, ell = form.s, form.s1, form.r1, form.m1, form.ell
     g_logs = tuple((r1 * (j * s) + s1 * form.hlogs[j]) % q1 for j in range(ell))
     if verify:
-        check_square(form, g_logs, form.f_logs())
+        check_square(form, g_logs, star_census(form)[0])
     return CycloDecomposition(form, m1, r1, s1, ell, g_logs,
                               fiber_census(Counter(g_logs)))
 
@@ -206,23 +179,16 @@ def _row_censuses(logs, q1):
 
 # -- brute-force oracle --------------------------------------------------------
 
-def star_fibers(form):
-    """Fiber Counter of f on F_q^* from h's values on U_ell."""
-    return Counter(form.f_logs())
-
-
-def star_censuses(spec, s, hs, rmax):
-    """f = x^r h(x^s) on F_q^* for each h in hs and every r in [1, rmax],
-    evaluated from h's coefficient indices at each x = g^k (the independent
-    oracle: it reads neither CycloForm.hlogs nor the identity
-    x^s = u_(k mod ell)).
-
-    h(g^(k*s)) comes from galois.eval_powers (exp/log lookups and base-p
-    digit sums), and log f(g^k) = r*k + log h(g^(k*s)).
-    Returns (logs, census): logs[i, r-1, k] = log f(g^k) for hs[i] and
-    census[i, r-1, c] the number of image points with a fiber of size c
-    (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*.
-    """
+def star_censuses(spec, s, hs, rs):
+    """f = x^r h(x^s) on F_q^* for each h in hs and each r in rs, from h's
+    coefficient indices at each x = g^k (the independent oracle: it reads
+    neither CycloForm.hlogs nor the identity x^s = u_(k mod ell)); h(g^(k*s))
+    comes from galois.eval_powers and log f(g^k) = r*k + log h(g^(k*s)).
+    rs broadcasts against hs: a list gives every h every r, a column (one
+    row [r] per h) gives each h its own r.  Returns (logs, census):
+    logs[i, j, k] = log f(g^k) for hs[i] and the j-th r of its row, and
+    census[i, j, c] the number of image points with a fiber of size c
+    (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*."""
     q1 = spec.q - 1
     width = max(len(h.coeffs) for h in hs)
     values = eval_powers(spec, [h.coeffs + (0,) * (width - len(h.coeffs))
@@ -232,24 +198,39 @@ def star_censuses(spec, s, hs, rmax):
         root = FieldElement(spec, spec.exp_at(int(k0) * s))
         raise HypothesisError(
             f"h = {hs[i]} has the root {root} in U_{q1 // s}")
-    logs = (np.arange(1, rmax + 1)[:, None] * np.arange(q1)
-            + np.asarray(spec.log)[values][:, None, :]) % q1
+    logs = (np.asarray(rs)[..., None] * np.arange(q1)
+            + spec.arrays()[1][values][:, None, :]) % q1
     return logs, _row_censuses(logs, q1)
+
+
+def rootless_censuses(spec, s, hs, rs):
+    """star_censuses for h rootless on U_ell by construction or by a scan: a
+    root found here is an arithmetic bug, so it raises RuntimeError (exit 6),
+    never a HypothesisError that a verify run would count as a skip."""
+    try:
+        return star_censuses(spec, s, hs, rs)
+    except HypothesisError as err:
+        raise RuntimeError(f"the oracle disagrees with the U_ell scan: "
+                           f"{err}") from err
+
+
+def star_census(form):
+    """The oracle's (logs, census) rows for one form: logs[k] = log f(g^k)
+    and census[c] the number of image points with a fiber of size c."""
+    logs, census = rootless_censuses(form.spec, form.s, [form.h], [form.r])
+    return logs[0, 0], census[0, 0]
+
+
+def star_fibers(form):
+    """Fiber Counter of f on F_q^* (keyed by dlog), from the oracle."""
+    return Counter(star_census(form)[0].tolist())
 
 
 def brute_verdict_star(form, m):
     q1 = form.spec.q - 1
     if not 1 <= m <= q1:
         raise ValueError(f"m out of range [1, {q1}]: {m}")
-    return verdict_from_histogram(star_fibers(form), q1, m)
-
-
-def brute_report_star(form, m):
-    return check_m_to_1(form.star_mapping(), m)
-
-
-def brute_admissible_star(form):
-    return admissible_m_set(form.star_mapping())
+    return bool(fibers_verdict(star_census(form)[1][m], q1, m))
 
 
 # -- the main reduction --------------------------------------------------------
@@ -528,9 +509,9 @@ def _compose(outer, inner):
 # -- lifting permutations and the transfer equivalence ----------------------------
 
 def permutes_field(form):
-    """Does f = x^r h(x^s) permute all of F_q?  Decided by direct scan."""
-    logs = form.f_logs()
-    return len(set(logs)) == len(logs)  # 0 -> 0 is automatic
+    """Does f = x^r h(x^s) permute all of F_q?  Decided by the oracle: every
+    fiber on F_q^* has one point (0 -> 0 is automatic)."""
+    return bool(star_census(form)[1][1] == form.spec.q - 1)
 
 
 def _twist_identity_scan(form, M, eps, t, e, text):

@@ -137,7 +137,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "exp", "log", "_gen", "_modmask",
-                 "__weakref__")
+                 "_arrays", "__weakref__")
 
     def __init__(self, p, n=1, modulus=None):
         if not is_prime(p):
@@ -161,6 +161,7 @@ class FieldSpec:
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
         self._modmask = _coeffs_to_idx(modulus, p)  # the modulus as an index
+        self._arrays = None
         self._build_tables()
 
     # -- raw arithmetic used only while bootstrapping the tables --
@@ -277,6 +278,13 @@ class FieldSpec:
         """Embed the integer c via the prime subfield (c mod p)."""
         return FieldElement(self, c % self.p)
 
+    def arrays(self):
+        """exp and log as int32 numpy arrays, converted once, on first use."""
+        if self._arrays is None:
+            self._arrays = (np.asarray(self.exp, dtype=np.int32),
+                            np.asarray(self.log, dtype=np.int32))
+        return self._arrays
+
     def from_index(self, idx):
         if not 0 <= idx < self.q:
             raise FieldError(f"element index {idx} out of range for q={self.q}")
@@ -377,7 +385,8 @@ class FieldElement:
             return self.index == other.index and (
                 self.spec is other.spec or self.spec == other.spec)
         if isinstance(other, int):
-            return self.index == other % self.spec.p
+            # only n in [0, p) names an element, so equal objects hash equal
+            return 0 <= other < self.spec.p and self.index == other
         return NotImplemented
 
     def __hash__(self):
@@ -517,7 +526,7 @@ def eval_powers(spec, coeffs, step):
     h_i's coefficient indices low to high.  Terms are exp/log lookups, and
     their sum is taken digit by digit in base p, in numpy."""
     q1, p = spec.q - 1, spec.p
-    exp, log = np.asarray(spec.exp), np.asarray(spec.log)
+    exp, log = spec.arrays()
     coeffs = np.asarray(coeffs, dtype=np.int64)
     j = np.flatnonzero(coeffs.any(axis=0))  # powers with a nonzero term
     coeffs = coeffs[:, j]

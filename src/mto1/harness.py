@@ -25,18 +25,18 @@ from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        _fibers_of, construction1_verdict,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
-from .cyclotomic import (CycloForm, brute_verdict_star, check_square,
-                         conjunct_rule, conjunct_text, decompose,
-                         failed_conjunct, g_censuses, hd_family_predict,
-                         hd_rootless_gcd, hd_rootless_scan,
-                         lift_from_permutation, monomial_predict,
-                         permutes_field, predict_from, random_rootless_poly,
-                         small_ell_predict, small_m_predict, star_censuses,
-                         star_fibers, transfer_equivalence)
+from .cyclotomic import (CycloForm, check_square, conjunct_rule,
+                         conjunct_text, decompose, failed_conjunct,
+                         g_censuses, hd_family_predict, hd_rootless_gcd,
+                         hd_rootless_scan, lift_from_permutation,
+                         monomial_predict, permutes_field, predict_from,
+                         random_rootless_poly, rootless_censuses,
+                         small_ell_predict, small_m_predict, star_census,
+                         transfer_equivalence)
 from .galois import (FieldElement, Poly, build_field, is_prime,
                      quadratic_base, subfield_indices)
-from .multiplicity import (FiniteMapping, census_verdict, check_m_to_1,
-                           count_by_enumeration, count_formula, fiber_census,
+from .multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
+                           count_by_enumeration, count_formula,
                            fibers_verdict)
 from .unitline import (base_trace, frob_q, g3_family, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
@@ -196,12 +196,8 @@ def _eval_main_grid(params):
     for lo in range(0, len(forms), per_chunk):
         chunk = forms[lo:lo + per_chunk]
         g_logs, g_census = g_censuses(chunk, rmax)
-        try:
-            f_logs, f_census = star_censuses(spec, s, [f.h for f in chunk],
-                                             rmax)
-        except HypothesisError as err:
-            raise RuntimeError(f"the oracle disagrees with the U_ell scan: "
-                               f"{err}") from err
+        f_logs, f_census = rootless_censuses(spec, s, [f.h for f in chunk],
+                                             range(1, rmax + 1))
         check_square(chunk[0], g_logs[:, 0], f_logs[:, 0])
         g_ok = np.zeros(g_census.shape, dtype=bool)
         g_ok[..., 1:] = fibers_verdict(g_census[..., 1:], ell,
@@ -230,7 +226,9 @@ def _eval_main_fixture(params):
     form = CycloForm(spec, params["r"], params["s"], h)
     m = params["m"]
     prediction = predict_from(decompose(form), m)
-    rep = check_m_to_1(form.star_mapping(), m)
+    exp, logs = spec.arrays()[0], star_census(form)[0]
+    rep = check_m_to_1(IndexMapping(exp[:len(logs)], exp[logs],
+                                    spec.from_index), m)
     exc = [str(e) for e in rep.exceptional_set]
     rec = _record({"field": list(params["field"][:2]), "r": params["r"],
                    "s": params["s"], "h": params["h"], "m": m},
@@ -240,27 +238,39 @@ def _eval_main_fixture(params):
     return [rec]
 
 
-@evaluator("small_m")
-def _eval_small_m(params):
-    """Case-list prediction vs main prediction vs oracle for m in {2, 3}."""
+def _case_list_grid(params, predict, ms):
+    """Case-list vs main prediction vs oracle for one h, every r in [1, rmax]
+    and every m in ms(decomposition), from one oracle call and the commuting
+    square at r = 1; returns the tally and the record's params."""
     spec = _field(tuple(params["field"]))
     s = params["s"]
     h = Poly(spec, params["h"])
-    m = params["m"]
     q1 = spec.q - 1
     base = CycloForm(spec, 1, s, h)
+    rs = range(1, params.get("rmax", 2 * s) + 1)
+    logs, census = rootless_censuses(spec, s, [h], rs)
+    check_square(base, decompose(base, verify=False).g_logs, logs[0, 0])
+    census = census[0].tolist()
     tally = _Tally()
-    for r in range(1, params.get("rmax", 2 * s) + 1):
+    for r in rs:
         form = base.with_r(r)
-        dec = decompose(form)
-        case_verdict, _ = small_m_predict(form, m, dec)
-        main_verdict = not failed_conjunct(dec, m)
-        observed = census_verdict(fiber_census(star_fibers(form)), q1, m)
-        if not tally.check(case_verdict == main_verdict == observed):
-            tally.bad.append({"r": r, "case": case_verdict,
-                              "main": main_verdict, "oracle": observed})
-    return [tally.record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h), "m": m})]
+        dec = decompose(form, verify=False)
+        for m in ms(dec):
+            case_verdict, _ = predict(form, m, dec)
+            main_verdict = not failed_conjunct(dec, m)
+            observed = fibers_verdict(census[r - 1][m], q1, m)
+            if not tally.check(case_verdict == main_verdict == observed):
+                tally.bad.append({"r": r, "m": m, "case": case_verdict,
+                                  "main": main_verdict, "oracle": observed})
+    return tally, {"field": list(params["field"][:2]), "s": s, "h": str(h)}
+
+
+@evaluator("small_m")
+def _eval_small_m(params):
+    """The m in {2, 3} case lists, at the record's m."""
+    m = params["m"]
+    tally, rec = _case_list_grid(params, small_m_predict, lambda _: (m,))
+    return [tally.record(dict(rec, m=m))]
 
 
 @evaluator("small_m_corollary")
@@ -273,21 +283,18 @@ def _eval_small_m_corollary(params):
     w = spec.exp_at((q - 1) // 3)
     wsq = spec.mul(w, w)
     tally = _Tally()
-    for a_idx in range(q):
-        a = FieldElement(spec, a_idx)
-        if a == spec.one or a == -spec.element(2):
-            continue
-        h = Poly.from_elements(spec, (a, spec.one, spec.one))
+    cases = [FieldElement(spec, a_idx) for a_idx in range(q)]
+    cases = [a for a in cases if a != spec.one and a != -spec.element(2)]
+    hs = [Poly.from_elements(spec, (a, spec.one, spec.one)) for a in cases]
+    census = rootless_censuses(spec, s, hs, range(1, 2 * s + 1))[1].tolist()
+    for a, rows in zip(cases, census):
         val = spec.pow(
-            spec.mul(spec.pow(spec.sub(a_idx, 1), 5), spec.add(a_idx, 2)),
+            spec.mul(spec.pow(spec.sub(a.index, 1), 5), spec.add(a.index, 2)),
             (q - 1) // 6)
-        base = CycloForm(spec, 1, s, h)
         for r in range(1, 2 * s + 1):
-            form = base.with_r(r)
             cond = (math.gcd(r, s) == 2 and r % 6 in (2, 4)
                     and val not in (w, wsq))
-            observed = census_verdict(fiber_census(star_fibers(form)),
-                                      q - 1, 2)
+            observed = fibers_verdict(rows[r - 1][2], q - 1, 2)
             if not tally.check(cond == observed):
                 tally.bad.append({"a": str(a), "r": r, "cond": cond,
                                   "oracle": observed})
@@ -296,27 +303,10 @@ def _eval_small_m_corollary(params):
 
 @evaluator("small_ell")
 def _eval_small_ell(params):
-    """ell in {2, 3}: case-list vs main vs oracle over all r and all m."""
-    spec = _field(tuple(params["field"]))
-    s = params["s"]
-    h = Poly(spec, params["h"])
-    q1 = spec.q - 1
-    ell = q1 // s
-    base = CycloForm(spec, 1, s, h)
-    tally = _Tally()
-    for r in range(1, params.get("rmax", 2 * s) + 1):
-        form = base.with_r(r)
-        dec = decompose(form)
-        census = fiber_census(star_fibers(form))
-        for m in range(1, ell * dec.m1 + 1):
-            case_verdict, _ = small_ell_predict(form, m, dec)
-            main_verdict = not failed_conjunct(dec, m)
-            observed = census_verdict(census, q1, m)
-            if not tally.check(case_verdict == main_verdict == observed):
-                tally.bad.append({"r": r, "m": m, "case": case_verdict,
-                                  "main": main_verdict, "oracle": observed})
-    return [tally.record({"field": list(params["field"][:2]), "s": s,
-                          "h": str(h)})]
+    """The ell in {2, 3} case lists, at every m in [1, ell*m1]."""
+    tally, rec = _case_list_grid(params, small_ell_predict,
+                                 lambda dec: range(1, dec.ell * dec.m1 + 1))
+    return [tally.record(rec)]
 
 
 @evaluator("ell2_corollary")
@@ -328,15 +318,14 @@ def _eval_ell2_corollary(params):
     s = (q - 1) // 2
     minus_one = spec.neg(1)
     tally = _Tally()
-    for a_idx in range(q):
-        if a_idx == 1 or a_idx == minus_one:
-            continue
+    cases = [a for a in range(q) if a != 1 and a != minus_one]
+    hs = [Poly.from_elements(spec, (FieldElement(spec, a), spec.one))
+          for a in cases]
+    census = rootless_censuses(spec, s, hs, range(1, 2 * s + 1))[1].tolist()
+    for a_idx, rows in zip(cases, census):
         a = FieldElement(spec, a_idx)
-        h = Poly.from_elements(spec, (a, spec.one))
         val = spec.pow(spec.sub(spec.mul(a_idx, a_idx), 1), s)
-        base = CycloForm(spec, 1, s, h)
         for r in range(1, 2 * s + 1):
-            form = base.with_r(r)
             m1 = math.gcd(r, s)
             sign = minus_one if r % 2 else 1
             cond = m1 == 1 and val == sign
@@ -346,8 +335,7 @@ def _eval_ell2_corollary(params):
                 v2 = spec.pow(frac, (q - 1) // 4)
                 sign2 = minus_one if (r // 2) % 2 else 1
                 cond = v2 != sign2
-            observed = census_verdict(fiber_census(star_fibers(form)),
-                                      q - 1, 2)
+            observed = fibers_verdict(rows[r - 1][2], q - 1, 2)
             if not tally.check(cond == observed):
                 tally.bad.append({"a": str(a), "r": r, "cond": cond,
                                   "oracle": observed})
@@ -367,30 +355,28 @@ def _eval_monomial_grid(params):
     m1 = math.gcd(r, q - 1)
     q2_1 = spec.q - 1
     tally = _Tally()
-    tried = 0
-    for a_i in unit_subgroup_points(spec):
-        if spec.pow(a_i, t) == 1:
-            continue
-        tried += 1
-        a = FieldElement(spec, a_i)
-        h = Poly.from_elements(spec, (-a, spec.one)).of_power(d) ** (k * m1)
-        form = CycloForm(spec, r, q - 1, h)
-        dec = decompose(form, verify=False)
-        census = fiber_census(star_fibers(form))
+    cases = [FieldElement(spec, a_i) for a_i in unit_subgroup_points(spec)
+             if spec.pow(a_i, t) != 1]
+    if not cases:
+        return [_record({"q": q, "d": d, "k": k, "r": r}, None, None,
+                        skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
+    forms = [CycloForm(spec, r, q - 1, Poly.from_elements(
+        spec, (-a, spec.one)).of_power(d) ** (k * m1)) for a in cases]
+    logs, census = rootless_censuses(spec, q - 1, [f.h for f in forms], [r])
+    decs = [decompose(form, verify=False) for form in forms]
+    check_square(forms[0], [dec.g_logs for dec in decs], logs[:, 0])
+    for a, form, dec, rows in zip(cases, forms, decs, census.tolist()):
         beta = (-a) ** (-k)
         for m in range(1, min(m1 * (q + 1), mcap) + 1):
             mono = monomial_predict(form, beta, -k * d, m)["verdict"]
             main_v = not failed_conjunct(dec, m)
-            observed = census_verdict(census, q2_1, m)
+            observed = fibers_verdict(rows[0][m], q2_1, m)
             closed = (m % m1 == 0
                       and math.gcd(r // m1 - k * d, q + 1) == m // m1)
             if not tally.check(mono == main_v == observed == closed):
                 tally.bad.append({"a": str(a), "m": m, "mono": mono,
                                   "main": main_v, "oracle": observed,
                                   "closed_form": closed})
-    if tried == 0:
-        return [_record({"q": q, "d": d, "k": k, "r": r}, None, None,
-                        skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
     return [tally.record({"q": q, "d": d, "k": k, "r": r})]
 
 
@@ -428,6 +414,7 @@ def _eval_hd_family(params):
                 for t in (1, 2):
                     for r in range(1, params.get("rmax", 6) + 1):
                         m1 = math.gcd(r, s)
+                        census = None  # of the form every m shares
                         for m in range(1, min(ell * m1,
                                               params.get("mcap", 12)) + 1):
                             try:
@@ -436,7 +423,9 @@ def _eval_hd_family(params):
                             except HypothesisError:
                                 tally.skipped += 1
                                 continue
-                            observed = brute_verdict_star(rec["form"], m)
+                            if census is None:
+                                census = star_census(rec["form"])[1].tolist()
+                            observed = fibers_verdict(census[m], q1, m)
                             if not tally.check(
                                     rec["predicted"] == observed
                                     and rec["hd_rootless_gcd"]
@@ -897,7 +886,7 @@ def paper_square_f29():
     star = [spec.exp_at(i) for i in range(28)]
     u7 = [spec.exp_at(4 * j) for j in range(7)]
     u14 = [spec.exp_at(2 * j) for j in range(14)]
-    f = {x: form.f_image_index(x) for x in star}
+    f = dict(zip(star, map(spec.exp_at, star_census(form)[0].tolist())))
     lam = {x: spec.pow(x, 4) for x in star}
     lambar = {x: spec.pow(x, 2) for x in star}
     g = {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(7)}

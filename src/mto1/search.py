@@ -6,7 +6,8 @@ change any verdict, and an h with h(0) = 0 is a smaller-degree form with a
 bigger r).  Candidates are enumerated lexicographically, filtered for
 rootlessness on U_ell, pushed through the subgroup prediction for every
 admissible r, and every hit is re-verified by brute force before it is
-reported.
+reported: cyclotomic.star_censuses evaluates f over all of F_q^* from h's
+coefficients, independently of the kernel, and finds any root of h on U_ell.
 """
 
 from __future__ import annotations
@@ -16,8 +17,10 @@ from collections import Counter
 
 import numpy as np
 
-from .cyclotomic import CycloForm, brute_verdict_star
+from .criteria import HypothesisError
+from .cyclotomic import star_censuses
 from .galois import Poly
+from .multiplicity import fibers_verdict
 
 
 class BudgetError(RuntimeError):
@@ -28,7 +31,8 @@ DEFAULT_BUDGET = 1 << 25
 
 # (candidate, fiber slot) cells per enumeration chunk: a chunk holds
 # CHUNK_CELLS // (ell * max m1) candidates, which bounds both the grid of h's
-# values on U_ell and the per-row fiber table of the g-check
+# values on U_ell and the per-row fiber table of the g-check; re-verification
+# checks CHUNK_CELLS // (q-1) hits per oracle call
 CHUNK_CELLS = 1 << 17
 
 
@@ -73,14 +77,27 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     rs = admissible_r_values(q, s, m, r_values)
     if not rs:
         return []
+    found = sorted(_kernel(spec, s, deg, rs))
+    rows = max(1, CHUNK_CELLS // (q - 1))
     hits = []
-    for coeffs, r in sorted(_kernel(spec, s, deg, rs)):
-        h = Poly(spec, coeffs)
-        form = CycloForm(spec, r, s, h)
-        verified = brute_verdict_star(form, m)
-        hits.append({"r": r, "h": str(h), "m": m, "m1": form.m1,
-                     "verified": verified})
+    for lo in range(0, len(found), rows):
+        chunk = [(Poly(spec, coeffs), r) for coeffs, r in found[lo:lo + rows]]
+        hits += [{"r": r, "h": str(h), "m": m, "m1": math.gcd(r, s),
+                  "verified": ok}
+                 for (h, r), ok in zip(chunk, _reverify(spec, s, m, chunk))]
     return hits
+
+
+def _reverify(spec, s, m, found):
+    """The oracle's m-to-1 verdict for each (h, r) in found, in one call; if
+    some h has a root on U_ell, hit by hit, and a hit with a root fails."""
+    try:
+        census = star_censuses(spec, s, [h for h, _ in found],
+                               [[r] for _, r in found])[1]
+    except HypothesisError:
+        return [False] if len(found) == 1 else [
+            ok for hit in found for ok in _reverify(spec, s, m, [hit])]
+    return fibers_verdict(census[:, 0, m], spec.q - 1, m).tolist()
 
 
 def _kernel(spec, s, deg, rs):

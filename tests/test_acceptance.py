@@ -10,11 +10,11 @@ import re
 import time
 from multiprocessing import cpu_count
 
-from mto1.cyclotomic import CycloForm, brute_report_star, main_predict
+from mto1.cyclotomic import CycloForm, main_predict, star_census
 from mto1.galois import Poly, build_field, unity_subgroup
 from mto1.harness import VerifyJob, paper_square_f29, run_job
 from mto1.criteria import construction2_verdict
-from mto1.multiplicity import (FiniteMapping, check_m_to_1,
+from mto1.multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
                                count_by_enumeration, count_formula)
 
 JOBS = cpu_count()
@@ -26,6 +26,13 @@ def _report(number, label, ok, elapsed, limit):
           f"{elapsed:.1f}s (limit {limit:.0f}s)")
     assert ok, f"criterion {number} failed"
     assert elapsed < limit, f"criterion {number} exceeded {limit}s"
+
+
+def _star_mapping(form):
+    """f on F_q^* in dlog order, from the oracle's logs."""
+    exp, logs = form.spec.exp, star_census(form)[0].tolist()
+    return IndexMapping(exp[:len(logs)], [exp[t] for t in logs],
+                        form.spec.from_index)
 
 
 def _no_disagreements(report):
@@ -45,7 +52,7 @@ def test_acceptance_1_paper_fixtures():
     #     and U_7 = {1,7,16,20,23,24,25}
     spec29 = build_field(29)
     form29 = CycloForm(spec29, 2, 4, Poly.from_string(spec29, "1,0,0,15,1,1"))
-    rep29 = brute_report_star(form29, 12)
+    rep29 = check_m_to_1(_star_mapping(form29), 12)
     ok &= rep29.verdict
     ok &= {e.index for e in rep29.exceptional_set} == {1, 28, 12, 17}
     ok &= main_predict(form29, 12).verdict
@@ -54,7 +61,7 @@ def test_acceptance_1_paper_fixtures():
     # (c) F_64 with the named modulus: x^2 (x^21 + xi^9) is 3-to-1 on the star
     spec64 = build_field(2, 6, (1, 1, 0, 1, 1, 0, 1))
     form64 = CycloForm(spec64, 2, 21, Poly.from_string(spec64, "g^9,1"))
-    ok &= brute_report_star(form64, 3).verdict
+    ok &= check_m_to_1(_star_mapping(form64), 3).verdict
     ok &= main_predict(form64, 3).verdict
     _report(1, "paper fixtures bit-exact", ok, time.perf_counter() - t0, 1.0)
 

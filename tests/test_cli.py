@@ -345,9 +345,8 @@ def test_main_report_at_acceptance_scale_matches_pin(capsys):
     assert digest == MAIN_REPORT_PIN
 
 
-def test_main_grid_catches_a_wrong_h_value_on_u_ell(capsys, monkeypatch):
-    # one wrong entry of h's values on U_ell corrupts f_logs and g alike; the
-    # oracle built from h's coefficients must still tell them apart
+def _perturb_hlogs(monkeypatch):
+    """Make every CycloForm carry one wrong value of h on U_ell (hlogs)."""
     from mto1.cyclotomic import CycloForm
     init = CycloForm.__init__
 
@@ -357,9 +356,68 @@ def test_main_grid_catches_a_wrong_h_value_on_u_ell(capsys, monkeypatch):
         self.hlogs = ((self.hlogs[0] + 1) % q1,) + self.hlogs[1:]
 
     monkeypatch.setattr(CycloForm, "__init__", perturbed)
-    code, _, _ = run_cli(capsys, "verify", "main", "--q", "7", "--hcount",
-                         "2", "--jobs", "1")
+
+
+# families whose prediction reads hlogs, and families that predict from
+# formulas; both check against the oracle built from h's coefficients
+HLOGS_PREDICTIONS = {"main": ("--q", "7", "--hcount", "2"),
+                     "small": ("--q", "7,13", "--hcount", "2"),
+                     "ell": ("--q", "7,13", "--hcount", "2"),
+                     "monomial": ("--q", "3,4")}
+FORMULA_PREDICTIONS = {"hd": ("--grid", "scan_qs=4,8"),
+                       "lift": ("--q", "9,13")}
+
+
+@pytest.mark.parametrize("family", sorted(HLOGS_PREDICTIONS))
+def test_main_grid_catches_a_wrong_h_value_on_u_ell(capsys, monkeypatch,
+                                                     family):
+    # one wrong entry of h's values on U_ell corrupts the prediction; the
+    # oracle must still tell them apart
+    _perturb_hlogs(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", family, *HLOGS_PREDICTIONS[family],
+                         "--jobs", "1")
     assert code in (cli.EXIT_DISAGREE, cli.EXIT_CRASH)
+
+
+@pytest.mark.parametrize("family", sorted(FORMULA_PREDICTIONS))
+def test_formula_families_ignore_a_wrong_h_value_on_u_ell(capsys, monkeypatch,
+                                                          family):
+    # no prediction or oracle of these families reads hlogs, so the report
+    # stays byte for byte the same
+    argv = ("verify", family, *FORMULA_PREDICTIONS[family], "--seed", "0",
+            "--jobs", "1", "--json")
+
+    def records():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        recs = json.loads(out)["records"]
+        for rec in recs:
+            del rec["elapsed"]
+        return json.dumps(recs, sort_keys=True)
+
+    clean = records()
+    _perturb_hlogs(monkeypatch)
+    assert records() == clean
+
+
+@pytest.mark.parametrize("coeffs, text", [((1, 0, 0), "1"),
+                                          ((1, 12, 0), "1,12")],
+                         ids=["non-hit", "root"])
+def test_search_exits_1_when_a_hit_fails_reverification(capsys, monkeypatch,
+                                                        coeffs, text):
+    # x is 1-to-1, and 1 - x has the root 1 in U_3: the re-verification
+    # must fail that hit alone, and the run must say so by its exit code
+    import mto1.search as search
+    kernel = search._kernel
+    monkeypatch.setattr(search, "_kernel",
+                        lambda *args: kernel(*args) + [(coeffs, 1)])
+    code, out, _ = run_cli(capsys, "search", "13^1", "--s", "4", "--deg", "2",
+                           "--m", "3", "--json")
+    assert code == cli.EXIT_DISAGREE
+    hits = json.loads(out)["hits"]
+    assert len(hits) > 1
+    assert [h for h in hits if not h["verified"]] == [
+        {"r": 1, "h": text, "m": 3, "m1": 1, "verified": False}]
 
 
 def test_disagreement_line_lists_failed_checks(capsys, monkeypatch):

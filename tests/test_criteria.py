@@ -7,7 +7,7 @@ import pytest
 from mto1.criteria import (CommutativeSquare, GroupModel, HypothesisError,
                            construction1_verdict, construction2_verdict,
                            construction3_verdict, local_criterion_check)
-from mto1.cyclotomic import CycloForm, decompose
+from mto1.cyclotomic import CycloForm, decompose, star_census
 from mto1.galois import Poly, build_field
 from mto1.harness import (paper_square_f29, random_construction1_square,
                           random_construction2_square,
@@ -85,7 +85,7 @@ def test_construction1_f29_instance_with_injective_g():
     u14 = [spec.exp_at(2 * j) for j in range(14)]
     sq = CommutativeSquare(
         star, star, u7, u14,
-        {x: form.f_image_index(x) for x in star},
+        dict(zip(star, map(spec.exp_at, star_census(form)[0].tolist()))),
         {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(7)},
         {x: spec.pow(x, 4) for x in star},
         {x: spec.pow(x, 2) for x in star})
@@ -215,7 +215,7 @@ def test_construction3_multiplicative_transfer_instance():
     u3 = [spec.exp_at(4 * j) for j in range(3)]
     u6 = [spec.exp_at(2 * j) for j in range(6)]
     g = {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(3)}
-    f = {x: form.f_image_index(x) for x in star}
+    f = dict(zip(star, map(spec.exp_at, star_census(form)[0].tolist())))
     group = GroupModel.unit_group(spec)
     sq = CommutativeSquare(star, star, u3, u6, f, g, lam, lambar)
     for m in (1, 2, 3, 4, 6):

@@ -3,24 +3,25 @@ monomial / h_d / lift specializations, all against brute-force scans."""
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from mto1.criteria import HypothesisError
-from mto1.cyclotomic import (CycloForm, brute_admissible_star,
-                             brute_report_star, brute_verdict_star, decompose,
-                             failed_conjunct, fq_bridge, hd_family_predict,
-                             hd_poly,
+from mto1.cyclotomic import (CycloForm, brute_verdict_star, decompose,
+                             failed_conjunct, fq_bridge, g_censuses,
+                             hd_family_predict, hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
                              main_predict, monomial_predict, permutes_field,
                              predict_from, random_rootless_poly,
-                             small_ell_predict, small_m_predict, star_fibers,
-                             transfer_equivalence)
+                             rootless_censuses, small_ell_predict,
+                             small_m_predict, star_census, star_censuses,
+                             star_fibers, transfer_equivalence)
 from mto1.galois import FieldElement, Poly, build_field
-from mto1.multiplicity import check_m_to_1, verdict_from_histogram
-from mto1.cyclotomic import g_censuses, star_censuses
-from mto1.multiplicity import fiber_census
+from mto1.multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
+                               fiber_census, verdict_from_histogram)
 
 F64 = (2, 6, (1, 1, 0, 1, 1, 0, 1))
 
@@ -33,6 +34,24 @@ def f29_form():
 def f64_form():
     spec = build_field(*F64)
     return CycloForm(spec, 2, 21, Poly.from_string(spec, "g^9,1"))
+
+
+def oracle_mapping(form, with_zero=False):
+    """f on F_q^* (in dlog order), or on all of F_q with zero first, as an
+    IndexMapping built from the oracle's logs."""
+    exp = np.asarray(form.spec.exp)
+    logs = star_census(form)[0]
+    domain, images = exp[:len(logs)], exp[logs]
+    if with_zero:
+        domain, images = np.append(0, domain), np.append(0, images)
+    return IndexMapping(domain, images, form.spec.from_index)
+
+
+def hlogs_f(form):
+    """f's dlogs at g^0, ..., g^(q-2) from h's values on U_ell (hlogs): the
+    prediction side's f, a reference for the oracle."""
+    q1 = form.spec.q - 1
+    return [(form.r * i + form.hlogs[i % form.ell]) % q1 for i in range(q1)]
 
 
 def test_form_validation():
@@ -74,7 +93,7 @@ def test_main_predict_f29():
     form = f29_form()
     pred = main_predict(form, 12)
     assert pred.verdict
-    rep = brute_report_star(form, 12)
+    rep = check_m_to_1(oracle_mapping(form), 12)
     assert rep.verdict
     assert {e.index for e in rep.exceptional_set} == {1, 28, 12, 17}
     assert not main_predict(form, 6).verdict
@@ -128,7 +147,7 @@ def test_fq_bridge_m1_and_x4_f29():
     rec = fq_bridge(form, 4)
     assert rec["verdict_star"] and rec["verdict_fq"]
     # oracle on all of F_q
-    rep = check_m_to_1(form.field_mapping(), 4)
+    rep = check_m_to_1(oracle_mapping(form, with_zero=True), 4)
     assert rep.verdict
     one = fq_bridge(form, 1)
     assert one["verdict_fq"] == one["verdict_star"]
@@ -149,7 +168,7 @@ def test_fq_bridge_blocks_m_dividing_q():
             found = form
     rec = fq_bridge(found, 3)
     assert rec["verdict_star"] and not rec["verdict_fq"]
-    assert not check_m_to_1(found.field_mapping(), 3).verdict
+    assert not check_m_to_1(oracle_mapping(found, with_zero=True), 3).verdict
 
 
 def test_fq_bridge_matches_direct_field_check():
@@ -162,7 +181,8 @@ def test_fq_bridge_matches_direct_field_check():
             r = rng.randrange(1, 2 * s + 1)
             h = random_rootless_poly(spec, s, 4, rng)
             form = CycloForm(spec, r, s, h)
-            direct = check_m_to_1(form.field_mapping(), rng.randrange(1, q))
+            direct = check_m_to_1(oracle_mapping(form, with_zero=True),
+                                  rng.randrange(1, q))
             rec = fq_bridge(form, direct.m)
             assert rec["verdict_fq"] == direct.verdict
 
@@ -543,7 +563,7 @@ def test_small_ell3_s_divides_r_conjunct_is_sharp():
 
 
 def test_admissible_star_and_f29():
-    assert brute_admissible_star(f29_form()) == {12}
+    assert admissible_m_set(oracle_mapping(f29_form())) == {12}
 
 
 SMALL_FIELDS = {13: (13, 1), 16: (2, 4), 25: (5, 2)}
@@ -560,7 +580,7 @@ def test_with_r_matches_a_fresh_form(q):
             assert (fast.r, fast.s, fast.ell, fast.hlogs, fast.m1, fast.r1,
                     fast.s1) == (fresh.r, fresh.s, fresh.ell, fresh.hlogs,
                                  fresh.m1, fresh.r1, fresh.s1)
-            assert fast.f_logs() == fresh.f_logs()
+            assert hlogs_f(fast) == star_census(fresh)[0].tolist()
         with pytest.raises(ValueError):
             base.with_r(0)
 
@@ -594,23 +614,33 @@ ORACLE_FIELDS = {"F13": (13,), "F16": (2, 4), "F25": (5, 2), "F27": (3, 3),
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
 def test_star_censuses_match_star_fibers(name):
-    # the coefficient-side oracle and the batched g rows against the per-form
-    # scans that read h on U_ell, for every r in [1, 2s]
+    # the coefficient-side oracle and the batched g rows against f and g
+    # computed from h's values on U_ell, for every r in [1, 2s]; the one-form
+    # views and a column of r (one per h) read the same rows
     spec = build_field(*ORACLE_FIELDS[name])
     q = spec.q
     rng = random.Random(f"oracle-{name}")
     for s in [d for d in range(1, q) if (q - 1) % d == 0]:
         hs = [random_rootless_poly(spec, s, rng.randrange(0, 6), rng)
               for _ in range(3)]
-        f_logs, f_census = star_censuses(spec, s, hs, 2 * s)
+        f_logs, f_census = star_censuses(spec, s, hs, range(1, 2 * s + 1))
         bases = [CycloForm(spec, 1, s, h) for h in hs]
         g_logs, g_census = g_censuses(bases, 2 * s)
+        column = [[rng.randrange(1, 2 * s + 1)] for _ in hs]
+        col_logs, col_census = star_censuses(spec, s, hs, column)
+        assert col_logs.shape == (len(hs), 1, q - 1)
         for i, base in enumerate(bases):
+            r = column[i][0]
+            assert (col_logs[i, 0] == f_logs[i, r - 1]).all()
+            assert (col_census[i, 0] == f_census[i, r - 1]).all()
             for r in range(1, 2 * s + 1):
                 form = base.with_r(r)
-                assert f_logs[i, r - 1].tolist() == form.f_logs()
-                assert {c: n for c, n in enumerate(f_census[i, r - 1].tolist())
-                        if c and n} == fiber_census(star_fibers(form))
+                assert f_logs[i, r - 1].tolist() == hlogs_f(form)
+                row = f_census[i, r - 1].tolist()
+                census = {c: n for c, n in enumerate(row) if c and n}
+                assert census == fiber_census(Counter(hlogs_f(form)))
+                assert fiber_census(star_fibers(form)) == census
+                assert brute_verdict_star(form, 1) == (census == {1: q - 1})
                 dec = decompose(form)
                 assert tuple(g_logs[i, r - 1].tolist()) == dec.g_logs
                 assert {c: n for c, n in enumerate(g_census[i, r - 1].tolist())
@@ -621,4 +651,22 @@ def test_star_censuses_rejects_a_root():
     spec = build_field(13)
     h = Poly.from_string(spec, "12,1")  # x - 1 vanishes at x^s = 1
     with pytest.raises(HypothesisError):
-        star_censuses(spec, 4, [Poly.from_string(spec, "1,1"), h], 8)
+        star_censuses(spec, 4, [Poly.from_string(spec, "1,1"), h], [1, 2])
+    # for h that a scan admitted, a root is an arithmetic bug, not a skip
+    with pytest.raises(RuntimeError):
+        rootless_censuses(spec, 4, [h], [1])
+
+
+def test_decompose_and_permutes_field_read_the_oracle():
+    # one wrong value of h on U_ell reaches g but not the oracle's f: the
+    # verified square fails, and permutes_field still sees x permute F_13
+    spec = build_field(13)
+    form = CycloForm(spec, 1, 1, Poly.constant(spec, 1))
+    assert permutes_field(form)
+    form.hlogs = ((form.hlogs[0] + 1) % 12,) + form.hlogs[1:]
+    assert len(set(hlogs_f(form))) < 12
+    assert permutes_field(form)
+    assert brute_verdict_star(form, 1)
+    decompose(form, verify=False)
+    with pytest.raises(RuntimeError):
+        decompose(form)

@@ -296,6 +296,21 @@ def test_prime_subfield_elements_hash_like_their_ints(key):
     assert len(set(spec.elements()) | set(range(spec.p))) == spec.q
 
 
+@pytest.mark.parametrize("key", [(7, 1), (3, 2)])
+def test_equal_elements_and_ints_hash_equal(key):
+    # an int equals an element only as its own index in [0, p), so every
+    # equal pair hashes equal and a set never holds both
+    spec = build_field(*key)
+    ints = range(-2 * spec.q, 2 * spec.q)
+    for x in spec.elements():
+        for n in ints:
+            if x == n:
+                assert hash(x) == hash(n) and len({x, n}) == 1
+            assert (x == n) == (0 <= n < spec.p and x.index == n)
+    assert spec.element(3) != 10 and len({spec.element(3), 10}) == 2
+    assert spec.element(3) != -4
+
+
 @pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (5, 1), (2, 6), (3, 3),
                                  (7, 2)])
 def test_eval_powers_matches_eval_index_everywhere(p, n):
