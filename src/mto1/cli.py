@@ -46,15 +46,25 @@ def _parse_int_list(text):
     return out
 
 
+# the grid options that families iterate: a tuple even of one value
+GRID_LISTS = ("qs", "ns", "corollary_qs", "scan_qs")
+
+
 def _parse_grid(text):
-    """Extra grid options: 'k=v;k2=v2' with v an int, int list, or range."""
+    """Extra grid options: 'k=v;k2=v2' with v an int, int list, or range.
+    Only a GRID_LISTS option takes a list; towers takes (base_q, n0) pairs,
+    which this syntax cannot write, so it is refused."""
     opts = {}
     for pair in text.split(";"):
         if not pair.strip():
             continue
-        key, _, value = pair.partition("=")
-        values = _parse_int_list(value)
-        opts[key.strip()] = values[0] if len(values) == 1 else tuple(values)
+        key, _, value = (part.strip() for part in pair.partition("="))
+        values = tuple(_parse_int_list(value))
+        if key == "towers" or (key not in GRID_LISTS and len(values) > 1):
+            raise ValueError(f"--grid cannot give {key}={value}: only "
+                             f"{', '.join(GRID_LISTS)} take a list, and "
+                             f"towers takes (base_q, n0) pairs")
+        opts[key] = values if key in GRID_LISTS else values[0]
     return opts
 
 

@@ -10,6 +10,7 @@ fails" with "conclusion fails".
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -105,76 +106,79 @@ class CommutativeSquare:
 class GroupModel:
     """Finite group given by element list, operation, identity, and inverses.
 
-    op may be a dict keyed by (a, b) pairs (explicit table) or a callable;
-    callables suit multiplicative groups too large for a q^2 table.  Axioms
-    are checked exhaustively up to 64 elements; larger models need trusted=True.
+    op may be a dict keyed by (a, b) pairs or a callable; it is read once into
+    the operation table of every (a, b), and all five group laws are checked
+    on that table: identity, inverses, a total table, a closed table, and
+    associativity.  Models hold at most MAX_ELEMENTS elements, so the O(n^3)
+    associativity check stays exhaustive.  A model is read-only once built;
+    cyclic(n) hands out one shared model per n.
     """
 
-    __slots__ = ("elements", "_op", "identity", "inverse")
+    __slots__ = ("elements", "table", "identity", "inverse")
 
-    MAX_ELEMENTS = 4096
+    MAX_ELEMENTS = 64
 
-    def __init__(self, elements, op, identity, inverse, trusted=False):
+    def __init__(self, elements, op, identity, inverse):
         self.elements = tuple(elements)
         if len(self.elements) > self.MAX_ELEMENTS:
             raise HypothesisError(
                 f"group model limited to {self.MAX_ELEMENTS} elements")
-        self._op = op
+        read = op if callable(op) else lambda a, b: op[(a, b)]
+        try:
+            self.table = {(a, b): read(a, b)
+                          for a in self.elements for b in self.elements}
+        except KeyError as err:
+            raise HypothesisError(
+                f"operation table has no entry for {err.args[0]!r}") from None
         self.identity = identity
         self.inverse = dict(inverse)
-        if not trusted:
-            self._check_axioms()
+        self._check_axioms()
 
     def op(self, a, b):
-        if callable(self._op):
-            return self._op(a, b)
-        return self._op[(a, b)]
+        return self.table[(a, b)]
 
     def _check_axioms(self):
-        elts = self.elements
-        eset = set(elts)
-        if self.identity not in eset:
+        elts, op = self.elements, self.op
+        index = {a: i for i, a in enumerate(elts)}
+        if self.identity not in index:
             raise HypothesisError("identity not in element list")
         for a in elts:
-            if self.op(a, self.identity) != a or self.op(self.identity, a) != a:
+            if op(a, self.identity) != a or op(self.identity, a) != a:
                 raise HypothesisError(f"identity law fails at {a!r}")
             ia = self.inverse.get(a)
-            if ia not in eset or self.op(a, ia) != self.identity:
+            if ia not in index or op(a, ia) != self.identity:
                 raise HypothesisError(f"inverse law fails at {a!r}")
-        for a in elts:
-            for b in elts:
-                if self.op(a, b) not in eset:
-                    raise HypothesisError("operation not closed")
-        if len(elts) <= 64:
-            for a in elts:
-                for b in elts:
-                    ab = self.op(a, b)
-                    for c in elts:
-                        if self.op(ab, c) != self.op(a, self.op(b, c)):
-                            raise HypothesisError("operation not associative")
+        if not all(ab in index for ab in self.table.values()):
+            raise HypothesisError("operation not closed")
+        # rows[a][b] = index of a*b; (a*b)*c = a*(b*c) for every c says row
+        # a*b equals row a read through row b
+        rows = [[index[op(a, b)] for b in elts] for a in elts]
+        for row_a in rows:
+            for ab, row_b in zip(row_a, rows):
+                if rows[ab] != [row_a[bc] for bc in row_b]:
+                    raise HypothesisError("operation not associative")
 
     @classmethod
+    @functools.cache
     def cyclic(cls, n):
         elts = tuple(range(n))
         return cls(elts, lambda a, b: (a + b) % n, 0,
-                   {a: (-a) % n for a in elts}, trusted=n > 64)
+                   {a: (-a) % n for a in elts})
 
     @classmethod
     def unit_group(cls, spec):
         """F_q^* under multiplication, elements as encoding indices."""
         elts = tuple(spec.exp_at(k) for k in range(spec.q - 1))
-        return cls(elts, spec.mul, 1, {a: spec.inv(a) for a in elts},
-                   trusted=len(elts) > 64)
+        return cls(elts, spec.mul, 1, {a: spec.inv(a) for a in elts})
 
     @classmethod
-    def from_json(cls, obj, trusted=False):
+    def from_json(cls, obj):
         """Fixture schema: elements as a string list, op as nested objects."""
         if isinstance(obj, str):
             with open(obj) as fh:
                 obj = json.load(fh)
-        table = {(a, b): obj["op"][a][b] for a in obj["op"] for b in obj["op"][a]}
-        return cls(obj["elements"], table, obj["identity"], obj["inverse"],
-                   trusted=trusted)
+        return cls(obj["elements"], lambda a, b: obj["op"][a][b],
+                   obj["identity"], obj["inverse"])
 
 
 def _per_class_side(f, classes, m):

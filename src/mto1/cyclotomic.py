@@ -297,14 +297,10 @@ def fq_bridge(form, m):
     m = 1: the verdicts coincide.  m >= 2: f is m-to-1 on F_q iff m does not
     divide q and f is m-to-1 on F_q^*.
     """
-    spec = form.spec
-    q = spec.q
+    q = form.spec.q
     if not 1 <= m <= q:
         raise ValueError(f"m out of range [1, {q}]: {m}")
-    # only-root-0 re-check; the form invariant already guarantees it
-    for j in range(form.ell):
-        if form.h.eval_index(spec.exp_at(j * form.s)) == 0:
-            raise HypothesisError("f has a nonzero root")
+    # f has only the root 0: the form's own scan found h rootless on U_ell
     star = brute_verdict_star(form, m) if m <= q - 1 else False
     if m == 1:
         verdict = star
@@ -436,13 +432,9 @@ def hd_rootless_scan(field, d, e, ell):
     q1 = field.q - 1
     if q1 % ell:
         raise HypothesisError(f"ell = {ell} does not divide q-1 = {q1}")
-    step = q1 // ell
     hd = hd_poly(field, d)
-    for j in range(ell):
-        point = field.pow(field.exp_at(j * step), e)
-        if hd.eval_index(point) == 0:
-            return False
-    return True
+    return all(hd.eval_index(field.pow(field.exp_at(j * (q1 // ell)), e))
+               for j in range(ell))
 
 
 def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
@@ -490,11 +482,11 @@ def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
         ell0 = ell // math.gcd(ell, k - 1) if k > 1 else ell
         h = h * _compose(H, hd_poly(field, k).of_power(e) ** ell0)
 
-    form = CycloForm(field, r, s, h)  # scans h rootless on U_ell
-    gcd_ok = hd_rootless_gcd(d, e, ell, q0)
-    scan_ok = hd_rootless_scan(field, d, e, ell)
+    # the form's scan of h on U_ell is the rootless scan of its factor
+    # h_d(x^e): a root raises, so the gcd criterion must say rootless
+    form = CycloForm(field, r, s, h)
     return {"case": case, "m": m, "predicted": predicted, "form": form,
-            "hd_rootless_gcd": gcd_ok, "hd_rootless_scan": scan_ok,
+            "hd_rootless_gcd": hd_rootless_gcd(d, e, ell, q0),
             "q0": q0, "n0": n0, "ell": ell, "m1": m1}
 
 
@@ -573,14 +565,20 @@ def transfer_equivalence(form, M, eps, t, k, m):
 
 # -- randomized rootless h for verification grids ---------------------------------
 
+def random_rootless_form(spec, s, max_degree, rng):
+    """The form x * h(x^s) for a random h of degree <= max_degree with no
+    roots in U_((q-1)/s); CycloForm's own scan is the rootless test."""
+    q1 = spec.q - 1
+    if not isinstance(s, int) or s < 1 or q1 % s:
+        raise ValueError(f"s = {s} must divide q-1 = {q1}")
+    while True:
+        h = Poly(spec, [rng.randrange(spec.q) for _ in range(max_degree + 1)])
+        try:
+            return CycloForm(spec, 1, s, h)
+        except HypothesisError:
+            continue
+
+
 def random_rootless_poly(spec, s, max_degree, rng):
     """Random h of degree <= max_degree with no roots in U_((q-1)/s)."""
-    q1 = spec.q - 1
-    ell = q1 // s
-    while True:
-        coeffs = [rng.randrange(spec.q) for _ in range(max_degree + 1)]
-        h = Poly(spec, coeffs)
-        if h.is_zero:
-            continue
-        if all(h.eval_index(spec.exp_at(j * s)) for j in range(ell)):
-            return h
+    return random_rootless_form(spec, s, max_degree, rng).h

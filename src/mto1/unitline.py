@@ -298,11 +298,7 @@ def _unit_mapping(field, fn):
 
 def _poly_pair_rootless(field, polys):
     units = unit_subgroup_points(field)
-    for poly in polys:
-        for i in units:
-            if poly.eval_index(i) == 0:
-                return False
-    return True
+    return all(poly.eval_index(i) for poly in polys for i in units)
 
 
 def g3_family(field, c, trinomials=True):

@@ -311,6 +311,10 @@ REPORT_PINS = {
         "4a2dbe58b39f427123385b4811e49549d323059fdeb1f288361924d65e809087",
     ("monomial", "--q", "3,4"):
         "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
+    ("criteria", "--count", "100"):
+        "2243673ce6c8f5a5958dafc7ac09b8fe6e922f583d8cf294bec5982f2caa9e1f",
+    ("lift", "--q", "9,13"):
+        "aa633812fc9312f6d47c3483b2d9c7d78aa75346c992de57d1552286bbe6fa57",
 }
 
 
@@ -325,6 +329,38 @@ def test_grid_reports_match_pinned_digests(capsys, argv):
     digest = hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_PINS[argv]
+
+
+def _verify_records(capsys, *argv):
+    """Exit code, records (elapsed removed; None without a report) and
+    stderr of one serial seed-0 verify run."""
+    code, out, err = run_cli(capsys, "verify", *argv, "--seed", "0",
+                             "--jobs", "1", "--json")
+    records = json.loads(out)["records"] if out else None
+    for rec in records or ():
+        del rec["elapsed"]
+    return code, records, err
+
+
+# a one-value list option given through --grid stays a list, so the run
+# gives the same records as its flag (or exits 0 where there is no flag);
+# towers takes (base_q, n0) pairs, which --grid cannot write, so it is
+# refused by name
+@pytest.mark.parametrize("grid, flag, code", [
+    (("small", "--grid", "qs=7"), ("small", "--q", "7"), cli.EXIT_OK),
+    (("g3", "--grid", "ns=3"), ("g3", "--n", "3"), cli.EXIT_OK),
+    (("hd", "--grid", "scan_qs=4"), None, cli.EXIT_OK),
+    (("hd", "--grid", "towers=3,2"), None, cli.EXIT_PARSE),
+], ids=["small-qs", "g3-ns", "hd-scan_qs", "hd-towers"])
+def test_one_value_grid_options(capsys, grid, flag, code):
+    got, records, err = _verify_records(capsys, *grid)
+    assert got == code
+    if code == cli.EXIT_PARSE:
+        assert records is None and "towers" in err
+        return
+    assert records
+    if flag is not None:
+        assert _verify_records(capsys, *flag)[:2] == (code, records)
 
 
 # the acceptance-scale main grid (every q of the grid, the extension fields

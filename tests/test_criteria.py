@@ -248,6 +248,25 @@ def test_group_model_validation_and_json():
         GroupModel(("e", "a"), {("e", "e"): "e", ("e", "a"): "a",
                                 ("a", "e"): "a", ("a", "a"): "a"},
                    "e", {"e": "e", "a": "a"})  # a has no inverse
+    # Z/7 with the products 1*2 and 1*3 swapped: identity and inverses hold,
+    # but (1*1)*2 = 4 while 1*(1*2) = 5
+    table = {(a, b): (a + b) % 7 for a in range(7) for b in range(7)}
+    table[1, 2], table[1, 3] = table[1, 3], table[1, 2]
+    inverse = {a: (-a) % 7 for a in range(7)}
+    with pytest.raises(HypothesisError, match="associative"):
+        GroupModel(range(7), table, 0, inverse)
+    del table[1, 2]
+    with pytest.raises(HypothesisError, match="no entry"):
+        GroupModel(range(7), table, 0, inverse)
+    with pytest.raises(HypothesisError, match="limited to 64"):
+        GroupModel(range(65), lambda a, b: (a + b) % 65, 0,
+                   {a: (-a) % 65 for a in range(65)})
+
+
+def test_cyclic_group_models_are_built_once_per_order():
+    assert GroupModel.cyclic(12) is GroupModel.cyclic(12)
+    assert GroupModel.cyclic(12) is not GroupModel.cyclic(6)
+    assert GroupModel.cyclic(64).op(63, 2) == 1
 
 
 def test_construction3_variant_rejections():

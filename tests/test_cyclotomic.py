@@ -15,10 +15,11 @@ from mto1.cyclotomic import (CycloForm, brute_verdict_star, decompose,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
                              main_predict, monomial_predict, permutes_field,
-                             predict_from, random_rootless_poly,
-                             rootless_censuses, small_ell_predict,
-                             small_m_predict, star_census, star_censuses,
-                             star_fibers, transfer_equivalence)
+                             predict_from, random_rootless_form,
+                             random_rootless_poly, rootless_censuses,
+                             small_ell_predict, small_m_predict, star_census,
+                             star_censuses, star_fibers,
+                             transfer_equivalence)
 from mto1.galois import FieldElement, Poly, build_field
 from mto1.multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
                                fiber_census, verdict_from_histogram)
@@ -113,6 +114,28 @@ def test_main_predict_m1_is_permutation_criterion():
         classic = form.m1 == 1 and dec.g_verdict(1)
         assert main_predict(form, 1).verdict == classic
         assert brute_verdict_star(form, 1) == classic
+
+
+def test_random_rootless_form_is_the_scanned_draw():
+    # the form's own U_ell scan is the draw's rootless test, and the poly
+    # draw is its h: the same stream gives the same h
+    spec = build_field(13)
+    for s in (1, 2, 3, 4, 6, 12):
+        draws = random.Random(f"draw-{s}"), random.Random(f"draw-{s}")
+        for _ in range(20):
+            form = random_rootless_form(spec, s, 3, draws[0])
+            assert (form.r, form.s) == (1, s)
+            assert form.h == random_rootless_poly(spec, s, 3, draws[1])
+            assert all(form.h.eval_index(spec.exp_at(j * s))
+                       for j in range(form.ell))
+
+
+@pytest.mark.parametrize("s", [0, 5, 24, 2.0])
+def test_random_rootless_draw_rejects_an_s_not_dividing_q_minus_1(s):
+    # CycloForm refuses such an s, so without this check the draw would
+    # loop forever (or, scanning the wrong points, return a rooted h)
+    with pytest.raises(ValueError, match="must divide"):
+        random_rootless_poly(build_field(13), s, 3, random.Random(0))
 
 
 @pytest.mark.parametrize("q", [7, 9, 11, 13, 16, 25, 29])
