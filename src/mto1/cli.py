@@ -123,23 +123,31 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
+# the least value of each count option: degmax < 0 would draw only h = 0,
+# and mcap = 0 or chunk = 0 would break a work item
+OPTION_FLOORS = {"hcount": 0, "draws": 0, "count": 0, "degmax": 0, "mcap": 1,
+                 "chunk": 1}
+
+
 def _verify_options(args):
+    """The job's grid options: a flag means what its --grid key means, and
+    an option below its floor is refused before any work item runs."""
     opts = {}
-    if args.q:
+    if args.q is not None:
         opts["qs"] = tuple(_parse_int_list(args.q))
-    if args.n:
+    if args.n is not None:
         opts["ns"] = tuple(_parse_int_list(args.n))
-    if args.hcount:
-        opts["hcount"] = args.hcount
-    if args.draws:
-        opts["draws"] = args.draws
-    if args.count:
-        opts["count"] = args.count
+    for key in ("hcount", "draws", "count"):
+        if getattr(args, key) is not None:
+            opts[key] = getattr(args, key)
     if args.grid:
         opts.update(_parse_grid(args.grid))
     if args.all:
         opts.setdefault("hcount", 200)
         opts.setdefault("draws", 500)
+    for key, floor in OPTION_FLOORS.items():
+        if opts.get(key, floor) < floor:
+            raise ValueError(f"{key} must be >= {floor}, got {opts[key]}")
     return opts
 
 

@@ -367,10 +367,10 @@ def small_ell_predict(form, m, dec=None):
 
 # -- monomial-like forms ---------------------------------------------------------
 
-def monomial_predict(form, beta, t, m):
-    """Verdict when h(a)^s1 = beta * a^t on all of U_ell: m-to-1 iff m1 | m and
-    gcd(r1 + t, ell) = m/m1.  The hypothesis is scanned exhaustively; a failure
-    raises with the witness point."""
+def monomial_predict(form, beta, t):
+    """When h(a)^s1 = beta * a^t on all of U_ell, f is m-to-1 exactly at
+    m = m1 * gcd(r1 + t, ell), returned as "m".  The hypothesis is scanned
+    exhaustively; a failure raises with the witness point."""
     spec = form.spec
     q1 = spec.q - 1
     if not isinstance(beta, FieldElement) or beta.spec != spec:
@@ -383,11 +383,8 @@ def monomial_predict(form, beta, t, m):
             witness = FieldElement(spec, spec.exp_at(j * form.s))
             raise HypothesisError(
                 f"h(a)^s1 != beta*a^t at a = {witness}")
-    if not 1 <= m <= form.ell * form.m1:
-        raise ValueError(f"m out of range [1, {form.ell * form.m1}]: {m}")
-    verdict = m % form.m1 == 0 and math.gcd(form.r1 + t, form.ell) == m // form.m1
-    return {"m": m, "verdict": verdict, "beta": beta, "t": t,
-            "gcd": math.gcd(form.r1 + t, form.ell)}
+    g = math.gcd(form.r1 + t, form.ell)
+    return {"m": form.m1 * g, "beta": beta, "t": t, "gcd": g}
 
 
 def infer_monomial_params(form):
@@ -407,7 +404,7 @@ def infer_monomial_params(form):
         t = diff // s
     beta = FieldElement(spec, spec.exp_at(beta_log))
     try:
-        monomial_predict(form, beta, t, 1 if form.m1 == 1 else form.m1)
+        monomial_predict(form, beta, t)
     except HypothesisError:
         return None
     return beta, t
@@ -437,12 +434,13 @@ def hd_rootless_scan(field, d, e, ell):
                for j in range(ell))
 
 
-def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
-    """Multiplicity prediction for f = x^r * h(x^s) over F_(q0^n0), where
-    q0 = p^base_degree, h = h_d(x^e)^t (optionally times H(h_k(x^e)^ell0)).
+def hd_family_predict(field, base_degree, r, s, d, e, t):
+    """The multiplicity m at which f = x^r * h(x^s) is m-to-1 over
+    F_(q0^n0), q0 = p^base_degree, h = h_d(x^e)^t.
 
-    Two regimes: ell*m1 | gcd(q0-1, n0) predicts m-to-1 exactly at m = m1;
-    n0 even with ell*m1 | q0+1 predicts via gcd(ell*m1, r + (1-d)*e*s*t/(q0-1)).
+    Two regimes: ell*m1 | gcd(q0-1, n0) gives m = m1; n0 even with
+    ell*m1 | q0+1 gives m = gcd(ell*m1, r + (1-d)*e*s*t/(q0-1)), or None (f
+    is m-to-1 at no m in [1, ell*m1]) when m1 does not divide that gcd.
     Divisibility hypotheses outside both regimes raise HypothesisError.
     """
     if field.n % base_degree:
@@ -460,42 +458,25 @@ def hd_family_predict(field, base_degree, r, s, d, e, t, m, H=None, k=None):
     # h and scanning it on U_ell
     if math.gcd(q0 - 1, n0) % (ell * m1) == 0:
         case = "q-1"
-        predicted = m == m1
+        m = m1
     elif n0 % 2 == 0 and (q0 + 1) % (ell * m1) == 0:
         case = "q+1"
         shift_num = (1 - d) * e * s * t
         if shift_num % (q0 - 1):
             raise HypothesisError("(1-d)est/(q0-1) is not integral")
-        predicted = (m % m1 == 0
-                     and math.gcd(ell * m1, r + shift_num // (q0 - 1)) == m)
+        m = math.gcd(ell * m1, r + shift_num // (q0 - 1))
+        if m % m1:
+            m = None
     else:
         raise HypothesisError(
             f"neither ell*m1 | (q0-1, n0) nor (n0 even and ell*m1 | q0+1) holds")
 
-    h = hd_poly(field, d).of_power(e) ** t
-    if H is not None:
-        if k is None:
-            raise HypothesisError("the H-twisted family needs k")
-        for c in H.coeffs:
-            if field.frob(c, base_degree) != c:
-                raise HypothesisError("H must have coefficients in the base field")
-        ell0 = ell // math.gcd(ell, k - 1) if k > 1 else ell
-        h = h * _compose(H, hd_poly(field, k).of_power(e) ** ell0)
-
     # the form's scan of h on U_ell is the rootless scan of its factor
     # h_d(x^e): a root raises, so the gcd criterion must say rootless
-    form = CycloForm(field, r, s, h)
-    return {"case": case, "m": m, "predicted": predicted, "form": form,
+    form = CycloForm(field, r, s, hd_poly(field, d).of_power(e) ** t)
+    return {"case": case, "m": m, "form": form,
             "hd_rootless_gcd": hd_rootless_gcd(d, e, ell, q0),
             "q0": q0, "n0": n0, "ell": ell, "m1": m1}
-
-
-def _compose(outer, inner):
-    """outer(inner(x)) by Horner over polynomials."""
-    acc = Poly(outer.spec, ())
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + Poly(outer.spec, (c,))
-    return acc
 
 
 # -- lifting permutations and the transfer equivalence ----------------------------
@@ -538,11 +519,14 @@ def lift_from_permutation(form, M, eps, t, k):
     return {"form": lifted, "m": m_pred, "verified": verified}
 
 
-def transfer_equivalence(form, M, eps, t, k, m):
+def transfer_equivalence(form, M, eps, t, k):
     """The F = x^(kt) M(x^s)^k f(x) equivalence: F is m-to-1 on F_q^* iff f is,
     under (r,s) | t, (r+kt, s) = (r,s), and eps * x^(t/m1) * M(x)^(s/m1) = 1
-    on U_ell with eps in U_(ell*m1).  Both sides are computed by brute force."""
+    on U_ell with eps in U_(ell*m1).  Both sides come from one oracle call:
+    "lifted" and "base" are the m in [1, ell*m1] at which F and f are m-to-1
+    (None when there is no such m; there is at most one, as ell*m1 <= q-1)."""
     spec = form.spec
+    q1 = spec.q - 1
     m1 = form.m1
     if t % m1:
         raise HypothesisError(f"(r, s) = {m1} must divide t = {t}")
@@ -554,12 +538,13 @@ def transfer_equivalence(form, M, eps, t, k, m):
         raise HypothesisError("eps must lie in U_(ell*m1)")
     _twist_identity_scan(form, M, eps, t // m1, form.s1,
                          "eps*x^(t/m1)*M(x)^(s/m1)")
-    if not 1 <= m <= form.ell * m1:
-        raise ValueError(f"m out of range [1, {form.ell * m1}]: {m}")
     lifted = CycloForm(spec, form.r + k * t, form.s, M ** k * form.h)
-    lhs = brute_verdict_star(lifted, m)
-    rhs = brute_verdict_star(form, m)
-    return {"m": m, "lifted": lhs, "base": rhs, "agree": lhs == rhs,
+    census = rootless_censuses(spec, form.s, [lifted.h, form.h],
+                               [[lifted.r], [form.r]])[1][:, 0]
+    ms = np.arange(1, form.ell * m1 + 1)
+    at = [ms[fibers_verdict(row[ms], q1, ms)] for row in census]
+    lhs, rhs = (int(a[0]) if len(a) else None for a in at)
+    return {"lifted": lhs, "base": rhs, "agree": lhs == rhs,
             "form_F": lifted}
 
 
@@ -571,6 +556,8 @@ def random_rootless_form(spec, s, max_degree, rng):
     q1 = spec.q - 1
     if not isinstance(s, int) or s < 1 or q1 % s:
         raise ValueError(f"s = {s} must divide q-1 = {q1}")
+    if max_degree < 0:  # h = 0 alone, which no form takes
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     while True:
         h = Poly(spec, [rng.randrange(spec.q) for _ in range(max_degree + 1)])
         try:

@@ -33,8 +33,8 @@ from .cyclotomic import (CycloForm, check_square, conjunct_rule,
                          random_rootless_form, random_rootless_poly,
                          rootless_censuses, small_ell_predict,
                          small_m_predict, star_census, transfer_equivalence)
-from .galois import (FieldElement, Poly, ScaleError, build_field,
-                     quadratic_base, subfield_indices)
+from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
+                     build_field, quadratic_base, subfield_indices)
 from .multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fibers_verdict)
@@ -70,7 +70,9 @@ def _field(fk):
 
 
 def _field_key_for_q(q):
-    """(p, n, None) with p^n = q; q must be a prime power."""
+    """(p, n, None) with p^n = q, a prime power of at most MAX_FIELD_SIZE."""
+    if q > MAX_FIELD_SIZE:
+        raise ScaleError(f"q = {q} exceeds the supported {MAX_FIELD_SIZE}")
     for p in range(2, q + 1):
         if q % p == 0:  # the least divisor above 1 is prime
             n = round(math.log(q, p))
@@ -233,38 +235,47 @@ def _eval_main_fixture(params):
 
 
 def _case_list_grid(params, predict, ms):
-    """Case-list vs main prediction vs oracle for one h, every r in [1, rmax]
-    and every m in ms(decomposition), from one oracle call and the commuting
-    square at r = 1; returns the tally and the record's params."""
+    """Case-list vs main prediction vs oracle for the hcount h drawn from
+    one cell's stream, every r in [1, 2s] and every m in ms(decomposition);
+    yields each h's tally and record params.  As in the main grid, a chunk
+    of h takes one oracle call and one commuting square at r = 1."""
     spec = _field(tuple(params["field"]))
     s = params["s"]
-    h = Poly(spec, params["h"])
     q1 = spec.q - 1
-    base = CycloForm(spec, 1, s, h)
-    rs = range(1, params.get("rmax", 2 * s) + 1)
-    logs, census = rootless_censuses(spec, s, [h], rs)
-    check_square(base, decompose(base, verify=False).g_logs, logs[0, 0])
-    census = census[0].tolist()
-    tally = _Tally()
-    for r in rs:
-        form = base.with_r(r)
-        dec = decompose(form, verify=False)
-        for m in ms(dec):
-            case_verdict, _ = predict(form, m, dec)
-            main_verdict = not failed_conjunct(dec, m)
-            observed = fibers_verdict(census[r - 1][m], q1, m)
-            if not tally.check(case_verdict == main_verdict == observed):
-                tally.bad.append({"r": r, "m": m, "case": case_verdict,
-                                  "main": main_verdict, "oracle": observed})
-    return tally, {"field": list(params["field"][:2]), "s": s, "h": str(h)}
+    rs = range(1, 2 * s + 1)
+    rng = _rng(params["seed"])
+    forms = [random_rootless_form(spec, s, params["degmax"], rng)
+             for _ in range(params["hcount"])]
+    per_chunk = max(1, MAIN_CHUNK_CELLS // (len(rs) * q1))
+    for lo in range(0, len(forms), per_chunk):
+        chunk = forms[lo:lo + per_chunk]
+        logs, census = rootless_censuses(spec, s, [f.h for f in chunk], rs)
+        decs = [[decompose(form.with_r(r), verify=False) for r in rs]
+                for form in chunk]
+        check_square(chunk[0], [d[0].g_logs for d in decs], logs[:, 0])
+        for form, form_decs, rows in zip(chunk, decs, census.tolist()):
+            tally = _Tally()
+            for r, dec in zip(rs, form_decs):
+                for m in ms(dec):
+                    case_verdict, _ = predict(dec.form, m, dec)
+                    main_verdict = not failed_conjunct(dec, m)
+                    observed = fibers_verdict(rows[r - 1][m], q1, m)
+                    if not tally.check(case_verdict == main_verdict
+                                       == observed):
+                        tally.bad.append({"r": r, "m": m,
+                                          "case": case_verdict,
+                                          "main": main_verdict,
+                                          "oracle": observed})
+            yield tally, {"field": list(params["field"][:2]), "s": s,
+                          "h": str(form.h)}
 
 
 @evaluator("small_m")
 def _eval_small_m(params):
-    """The m in {2, 3} case lists, at the record's m."""
+    """The m in {2, 3} case lists, at the cell's m."""
     m = params["m"]
-    tally, rec = _case_list_grid(params, small_m_predict, lambda _: (m,))
-    return [tally.record(dict(rec, m=m))]
+    return [tally.record(dict(rec, m=m)) for tally, rec
+            in _case_list_grid(params, small_m_predict, lambda _: (m,))]
 
 
 @evaluator("small_m_corollary")
@@ -298,9 +309,8 @@ def _eval_small_m_corollary(params):
 @evaluator("small_ell")
 def _eval_small_ell(params):
     """The ell in {2, 3} case lists, at every m in [1, ell*m1]."""
-    tally, rec = _case_list_grid(params, small_ell_predict,
-                                 lambda dec: range(1, dec.ell * dec.m1 + 1))
-    return [tally.record(rec)]
+    return [tally.record(rec) for tally, rec in _case_list_grid(
+        params, small_ell_predict, lambda dec: range(1, dec.ell * dec.m1 + 1))]
 
 
 @evaluator("ell2_corollary")
@@ -360,9 +370,9 @@ def _eval_monomial_grid(params):
     decs = [decompose(form, verify=False) for form in forms]
     check_square(forms[0], [dec.g_logs for dec in decs], logs[:, 0])
     for a, form, dec, rows in zip(cases, forms, decs, census.tolist()):
-        beta = (-a) ** (-k)
+        mono_m = monomial_predict(form, (-a) ** (-k), -k * d)["m"]
         for m in range(1, min(m1 * (q + 1), mcap) + 1):
-            mono = monomial_predict(form, beta, -k * d, m)["verdict"]
+            mono = m == mono_m
             main_v = not failed_conjunct(dec, m)
             observed = fibers_verdict(rows[0][m], q2_1, m)
             closed = (m % m1 == 0
@@ -407,25 +417,24 @@ def _eval_hd_family(params):
             for e in (1, 2, 3):
                 for t in (1, 2):
                     for r in range(1, params.get("rmax", 6) + 1):
-                        m1 = math.gcd(r, s)
-                        census = None  # of the form every m shares
-                        for m in range(1, min(ell * m1,
-                                              params.get("mcap", 12)) + 1):
-                            try:
-                                rec = hd_family_predict(
-                                    spec, base_degree, r, s, d, e, t, m)
-                            except HypothesisError:
-                                tally.skipped += 1
-                                continue
-                            if census is None:
-                                census = star_census(rec["form"])[1].tolist()
+                        ms = range(1, min(ell * math.gcd(r, s),
+                                          params.get("mcap", 12)) + 1)
+                        try:
+                            rec = hd_family_predict(spec, base_degree, r, s,
+                                                    d, e, t)
+                        except HypothesisError:
+                            tally.skipped += len(ms)  # one skip per m
+                            continue
+                        census = star_census(rec["form"])[1].tolist()
+                        for m in ms:
+                            predicted = m == rec["m"]
                             observed = fibers_verdict(census[m], q1, m)
-                            if not tally.check(rec["predicted"] == observed
+                            if not tally.check(predicted == observed
                                                and rec["hd_rootless_gcd"]):
                                 tally.bad.append({
                                     "s": s, "d": d, "e": e, "t": t, "r": r,
                                     "m": m, "case": rec["case"],
-                                    "predicted": rec["predicted"],
+                                    "predicted": predicted,
                                     "oracle": observed})
     return [tally.record({"field": list(params["field"][:2]),
                           "base_degree": base_degree})]
@@ -492,9 +501,9 @@ def _eval_lift(params):
         if math.gcd(base.r + k * t2, s) != base.m1:
             tally.skipped += 1
             continue
+        rec = transfer_equivalence(base, M2, eps, t2, k)
         for m in range(1, min(ell * base.m1, 10) + 1):
-            rec = transfer_equivalence(base, M2, eps, t2, k, m)
-            if not tally.check(rec["agree"]):
+            if not tally.check((rec["lifted"] == m) == (rec["base"] == m)):
                 tally.bad.append({"stage": "transfer", "r": base.r, "s": s,
                                   "m": m})
     return [tally.record({"field": list(params["field"][:2])})]
@@ -905,36 +914,30 @@ def _main_items(o, seed):
 
 
 def _small_items(o, seed):
-    hcount = o.get("hcount", 12)
     for q in o.get("qs", MAIN_GRID_Q):
         fk = _field_key_for_q(q)
-        spec = _field(fk)
         for m in (2, 3):
             for s in _divisors(q - 1):
                 if s < 2 or (q - 1) // s < m:
                     continue
-                rng = _rng(seed, "small", q, s, m)
-                for _ in range(hcount):
-                    h = random_rootless_poly(spec, s, o.get("degmax", 4), rng)
-                    yield ("small_m", {"field": fk, "s": s,
-                                       "h": list(h.coeffs), "m": m})
+                yield ("small_m", {"field": fk, "s": s, "m": m,
+                                   "seed": f"{seed}|small|{q}|{s}|{m}",
+                                   "hcount": o.get("hcount", 12),
+                                   "degmax": o.get("degmax", 4)})
     for q in o.get("corollary_qs", (13, 19, 31)):
         yield ("small_m_corollary", {"field": _field_key_for_q(q)})
 
 
 def _ell_items(o, seed):
-    hcount = o.get("hcount", 12)
     for q in o.get("qs", MAIN_GRID_Q):
         fk = _field_key_for_q(q)
-        spec = _field(fk)
         for ell in (2, 3):
-            if (q - 1) % ell or (q - 1) // ell < 1:
+            if (q - 1) % ell:
                 continue
-            s = (q - 1) // ell
-            rng = _rng(seed, "ell", q, ell)
-            for _ in range(hcount):
-                h = random_rootless_poly(spec, s, o.get("degmax", 4), rng)
-                yield ("small_ell", {"field": fk, "s": s, "h": list(h.coeffs)})
+            yield ("small_ell", {"field": fk, "s": (q - 1) // ell,
+                                 "seed": f"{seed}|ell|{q}|{ell}",
+                                 "hcount": o.get("hcount", 12),
+                                 "degmax": o.get("degmax", 4)})
     for q in o.get("corollary_qs", (13, 17, 25)):
         yield ("ell2_corollary", {"field": _field_key_for_q(q)})
 

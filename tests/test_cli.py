@@ -1,6 +1,7 @@
 """CLI contract: the analyze fixtures, exit codes, and report determinism."""
 
 import argparse
+import collections
 import hashlib
 import json
 import re
@@ -315,6 +316,8 @@ REPORT_PINS = {
         "2243673ce6c8f5a5958dafc7ac09b8fe6e922f583d8cf294bec5982f2caa9e1f",
     ("lift", "--q", "9,13"):
         "aa633812fc9312f6d47c3483b2d9c7d78aa75346c992de57d1552286bbe6fa57",
+    ("hd",):
+        "d827e2f0e39223d480df30926aca37e8e111a92adece599e25f6caa1cefc8810",
 }
 
 
@@ -329,6 +332,105 @@ def test_grid_reports_match_pinned_digests(capsys, argv):
     digest = hashlib.sha256(
         json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == REPORT_PINS[argv]
+
+
+@pytest.mark.parametrize("family", ["small", "ell"])
+def test_worker_drawn_reports_do_not_depend_on_the_pool(capsys, family):
+    # small and ell cells draw their h in the worker: two workers must give
+    # the pinned serial report
+    argv = (family, "--q", "7,13", "--hcount", "2")
+    code, out, _ = run_cli(capsys, "verify", *argv, "--seed", "0",
+                           "--jobs", "2", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    for rec in records:
+        del rec["elapsed"]
+    digest = hashlib.sha256(
+        json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == REPORT_PINS[argv]
+
+
+def test_each_form_is_predicted_and_counted_once(capsys, monkeypatch):
+    # serial seed-0 runs, counted at the harness bindings: one oracle call
+    # per small/ell cell, one h_d prediction per (s, d, e, t, r) and one
+    # transfer_equivalence call per lift transfer draw, none per m
+    calls = collections.defaultdict(list)
+
+    def count(name):
+        fn = getattr(harness, name)
+
+        def counted(*args):
+            calls[name].append(args)
+            return fn(*args)
+        monkeypatch.setattr(harness, name, counted)
+
+    for name in ("rootless_censuses", "hd_family_predict",
+                 "transfer_equivalence"):
+        count(name)
+    for family in ("small", "ell"):
+        calls.clear()
+        assert _verify_records(capsys, family)[0] == cli.EXIT_OK
+        assert (len(calls["rootless_censuses"])
+                == len(build_instances(VerifyJob(family))))
+    calls.clear()
+    assert _verify_records(capsys, "hd")[0] == cli.EXIT_OK
+    keys = [(spec.q, r, s, d, e, t)
+            for spec, _, r, s, d, e, t in calls["hd_family_predict"]]
+    towers = [params["field"] for name, params
+              in build_instances(VerifyJob("hd")) if name == "hd_family"]
+    # (d, e, t, r) in 6 x 3 x 2 x 6 for every s dividing q-1
+    assert len(set(keys)) == len(keys) == 6 * 3 * 2 * 6 * sum(
+        len(harness._divisors(p ** n - 1)) for p, n, _ in towers)
+    calls.clear()
+    assert _verify_records(capsys, "lift")[0] == cli.EXIT_OK
+    forms = [args[0] for args in calls["transfer_equivalence"]]
+    assert 0 < len(forms) <= 4 * 30  # at most one per draw
+    assert len({id(form) for form in forms}) == len(forms)
+
+
+def _no_item(item):
+    raise harness.EvaluatorError(f"the work item {item[0]} ran")
+
+
+# a count flag means what its --grid key means, 0 included; a value below
+# the option's floor exits 2, naming the option, before any work item runs
+@pytest.mark.parametrize("flag, grid, code", [
+    (("main", "--q", "5", "--hcount", "0"),
+     ("main", "--q", "5", "--grid", "hcount=0"), cli.EXIT_OK),
+    (("lift", "--q", "9", "--draws", "0"),
+     ("lift", "--q", "9", "--grid", "draws=0"), cli.EXIT_VACUOUS),
+    (("criteria", "--count", "0"), ("criteria", "--grid", "count=0"),
+     cli.EXIT_VACUOUS),
+    (("main", "--hcount", "-2"), ("main", "--grid", "hcount=-2"),
+     cli.EXIT_PARSE),
+    (("towers", "--draws", "-1"), ("towers", "--grid", "draws=-1"),
+     cli.EXIT_PARSE),
+    (("criteria", "--count", "-1"), ("criteria", "--grid", "count=-1"),
+     cli.EXIT_PARSE),
+    (None, ("main", "--grid", "degmax=-1"), cli.EXIT_PARSE),
+    (None, ("main", "--grid", "mcap=0"), cli.EXIT_PARSE),
+    (None, ("towers", "--grid", "chunk=0"), cli.EXIT_PARSE),
+], ids=["hcount-0", "draws-0", "count-0", "hcount-neg", "draws-neg",
+        "count-neg", "degmax-neg", "mcap-0", "chunk-0"])
+def test_count_options_are_honoured_or_refused(capsys, monkeypatch, flag,
+                                               grid, code):
+    if code == cli.EXIT_PARSE:
+        monkeypatch.setattr(harness, "_run_item", _no_item)
+    runs = [_verify_records(capsys, *argv) for argv in (flag, grid) if argv]
+    for got, records, err in runs:
+        assert got == code
+        if code == cli.EXIT_PARSE:
+            assert records is None and grid[-1].split("=")[0] in err
+    assert runs[0][1] == runs[-1][1]
+
+
+@pytest.mark.parametrize("family", ["main", "small", "ell"])
+def test_verify_q_over_the_scale_exits_3(capsys, family):
+    # the cells build their fields in the workers, so the parent refuses a
+    # q over 2^16 before any item runs
+    code, _, err = run_cli(capsys, "verify", family, "--q", "131072",
+                           "--jobs", "1")
+    assert code == cli.EXIT_SCALE and "131072" in err
 
 
 def _verify_records(capsys, *argv):

@@ -138,6 +138,28 @@ def test_random_rootless_draw_rejects_an_s_not_dividing_q_minus_1(s):
         random_rootless_poly(build_field(13), s, 3, random.Random(0))
 
 
+@pytest.mark.parametrize("max_degree", [-1, -3])
+def test_random_rootless_draw_rejects_a_negative_degree(monkeypatch,
+                                                        max_degree):
+    # a degree below 0 draws only the zero h, which CycloForm refuses, so
+    # the draw must refuse it before its retry loop.  Such a draw makes no
+    # rng call, so the bound that turns a retrying loop into a failure here
+    # (not a hang) is on the forms it tries
+    tries = []
+    form_init = CycloForm.__init__
+
+    def bounded(self, *args):
+        tries.append(args)
+        if len(tries) > 1000:
+            raise RuntimeError("the draw retries forever")
+        form_init(self, *args)
+
+    monkeypatch.setattr(CycloForm, "__init__", bounded)
+    with pytest.raises(ValueError, match="max_degree"):
+        random_rootless_form(build_field(13), 4, max_degree, random.Random(0))
+    assert not tries
+
+
 @pytest.mark.parametrize("q", [7, 9, 11, 13, 16, 25, 29])
 def test_main_soundness_sample_grid(q):
     key = {9: (3, 2), 16: (2, 4), 25: (5, 2)}.get(q, (q, 1))
@@ -299,11 +321,12 @@ def test_monomial_predict_power_h():
             m1 = math.gcd(r, s)
             H = random_rootless_poly(spec, s, 2, rng)
             form = CycloForm(spec, r, s, H ** (ell * m1))
+            rec = monomial_predict(form, spec.one, 0)
             for m in range(1, min(ell * m1, 10) + 1):
-                rec = monomial_predict(form, spec.one, 0, m)
-                assert rec["verdict"] == (m % m1 == 0
-                                          and math.gcd(r, ell * m1) == m)
-                assert rec["verdict"] == brute_verdict_star(form, m)
+                verdict = m == rec["m"]
+                assert verdict == (m % m1 == 0
+                                   and math.gcd(r, ell * m1) == m)
+                assert verdict == brute_verdict_star(form, m)
 
 
 def test_monomial_fixture_x17_plus_x_f25():
@@ -313,9 +336,9 @@ def test_monomial_fixture_x17_plus_x_f25():
     h = Poly.from_elements(spec, (spec.one, 0, 0, 0, spec.one))  # y^4 + 1
     form = CycloForm(spec, 1, 4, h)
     beta = (-a) ** (-1)
+    rec = monomial_predict(form, beta, -4)
     for m in range(1, 7):
-        rec = monomial_predict(form, beta, -4, m)
-        assert rec["verdict"] == (m == 3)
+        assert (m == rec["m"]) == (m == 3)
         assert brute_verdict_star(form, m) == (m == 3)
         assert main_predict(form, m).verdict == (m == 3)
 
@@ -352,11 +375,11 @@ def test_monomial_general_conforming_M_f16():
         m1 = math.gcd(r, q - 1)
         form = CycloForm(spec, r, q - 1, M ** (k * m1))
         beta = eps ** (-k)
+        rec = monomial_predict(form, beta, -4 * k)
         for m in range(1, min(m1 * (q + 1), 12) + 1):
-            rec = monomial_predict(form, beta, -4 * k, m)
             closed = (m % m1 == 0
                       and math.gcd(r // m1 - 4 * k, q + 1) == m // m1)
-            assert rec["verdict"] == closed == brute_verdict_star(form, m)
+            assert (m == rec["m"]) == closed == brute_verdict_star(form, m)
         checked += 1
     assert checked >= 15
 
@@ -379,7 +402,7 @@ def test_monomial_fixture_x13_minus_ax_f25():
         h = Poly.from_elements(spec, (-a, spec.zero, spec.zero, spec.one))
         form = CycloForm(spec, 1, 4, h)
         assert brute_verdict_star(form, 2)
-        assert monomial_predict(form, (-a) ** (-1), -3, 2)["verdict"]
+        assert monomial_predict(form, (-a) ** (-1), -3)["m"] == 2
 
 
 def test_monomial_hypothesis_mutation():
@@ -398,10 +421,10 @@ def test_monomial_hypothesis_mutation():
         except HypothesisError:
             continue
         try:
-            rec = monomial_predict(form, beta, -4, 3)
+            rec = monomial_predict(form, beta, -4)
         except HypothesisError:
             continue  # scan caught the mutation
-        assert rec["verdict"] == brute_verdict_star(form, 3)
+        assert (rec["m"] == 3) == brute_verdict_star(form, 3)
 
 
 def test_infer_monomial_params():
@@ -411,7 +434,7 @@ def test_infer_monomial_params():
     got = infer_monomial_params(form)
     assert got is not None
     beta, t = got
-    assert monomial_predict(form, beta, t, 3)["verdict"]
+    assert monomial_predict(form, beta, t)["m"] == 3
     # a generic h is usually not monomial-like
     rng = random.Random("non-mono")
     hits = 0
@@ -456,13 +479,12 @@ def test_hd_family_q_plus_1_case_f9():
                 for t in (1, 2):
                     for r in (1, 2, 3, 4):
                         m1 = math.gcd(r, s)
+                        try:
+                            rec = hd_family_predict(spec, 1, r, s, d, e, t)
+                        except HypothesisError:
+                            continue
                         for m in range(1, ell * m1 + 1):
-                            try:
-                                rec = hd_family_predict(spec, 1, r, s, d, e,
-                                                        t, m)
-                            except HypothesisError:
-                                continue
-                            assert rec["predicted"] == brute_verdict_star(
+                            assert (m == rec["m"]) == brute_verdict_star(
                                 rec["form"], m), (s, d, e, t, r, m)
                             checked += 1
     assert checked > 50
@@ -476,13 +498,13 @@ def test_hd_family_q_minus_1_case():
                           (624, 4, 2, 3, 1), (624, 4, 7, 2, 1)):
         m1 = math.gcd(r, s)
         ell = 624 // s
+        try:
+            rec = hd_family_predict(spec, 1, r, s, d, e, t)
+        except HypothesisError:
+            continue
         for m in range(1, min(ell * m1, 8) + 1):
-            try:
-                rec = hd_family_predict(spec, 1, r, s, d, e, t, m)
-            except HypothesisError:
-                continue
             assert rec["case"] == "q-1"
-            assert rec["predicted"] == brute_verdict_star(rec["form"], m)
+            assert (m == rec["m"]) == brute_verdict_star(rec["form"], m)
             checked += 1
     assert checked
 
@@ -546,9 +568,11 @@ def test_transfer_equivalence_instances():
         k = rng.randrange(1, 4)
         if math.gcd(r + k * t, s) != form.m1:
             continue
+        rec = transfer_equivalence(form, M, spec.one, t, k)
         for m in range(1, min(ell * form.m1, 8) + 1):
-            rec = transfer_equivalence(form, M, spec.one, t, k, m)
             assert rec["agree"]
+            assert (m == rec["base"]) == brute_verdict_star(form, m)
+            assert (m == rec["lifted"]) == brute_verdict_star(rec["form_F"], m)
         done += 1
 
 
@@ -558,7 +582,7 @@ def test_transfer_equivalence_rejects_changed_gcd():
     W = Poly.from_string(spec, "1,1")
     M = W ** 6
     with pytest.raises(HypothesisError):
-        transfer_equivalence(form, M, spec.one, 6, 1, 2)  # (2+6, 4) = 4 != 2
+        transfer_equivalence(form, M, spec.one, 6, 1)  # (2+6, 4) = 4 != 2
 
 
 def test_small_ell3_s_divides_r_conjunct_is_sharp():
