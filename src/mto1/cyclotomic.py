@@ -11,8 +11,9 @@ There is one oracle, `star_censuses`: it evaluates h(x^s) at every x in
 F_q^* from h's coefficients, without reading `CycloForm.hlogs` (h on U_ell)
 or the identity x^s = u_(i mod ell), so it checks the reduction from
 outside.  Every family, the commuting square of `decompose(verify=True)`,
-`permutes_field` and search's re-verification read it; `star_fibers` and
-`brute_verdict_star` are its one-form views.  `hlogs` is read only by the
+`permutes_field` and search's re-verification read it; `star_verdicts`
+answers many forms at once, and `star_fibers` and `brute_verdict_star` are
+its one-form views.  `hlogs` is read only by the
 prediction side: `CycloForm`, `with_r`, `decompose`, `g_censuses`,
 `monomial_predict` and `infer_monomial_params`.
 """
@@ -179,6 +180,10 @@ def _row_censuses(logs, q1):
 
 # -- brute-force oracle --------------------------------------------------------
 
+# (form, point) cells per star_verdicts oracle call: bounds its arrays
+ORACLE_CELLS = 1 << 14
+
+
 def star_censuses(spec, s, hs, rs):
     """f = x^r h(x^s) on F_q^* for each h in hs and each r in rs, from h's
     coefficient indices at each x = g^k (the independent oracle: it reads
@@ -221,16 +226,36 @@ def star_census(form):
     return logs[0, 0], census[0, 0]
 
 
+def star_verdicts(forms, ms):
+    """The oracle's verdicts "forms[i] is m-to-1 on F_q^*" for each m in
+    ms[i], as lists of bools, for forms that share one field and s, each
+    with its own r.  One oracle call covers ORACLE_CELLS (form, point)
+    cells, so a large field takes one form per call, and only the verdicts
+    outlive a call."""
+    spec, s = forms[0].spec, forms[0].s
+    q1 = spec.q - 1
+    if any(f.spec != spec or f.s != s for f in forms):
+        raise ValueError("forms must share one field and s")
+    if not all(1 <= m <= q1 for row in ms for m in row):
+        raise ValueError(f"m out of range [1, {q1}]: {ms}")
+    step = max(1, ORACLE_CELLS // q1)
+    out = []
+    for i in range(0, len(forms), step):
+        chunk = forms[i:i + step]
+        census = rootless_censuses(spec, s, [f.h for f in chunk],
+                                   [[f.r] for f in chunk])[1][:, 0]
+        out += [[bool(fibers_verdict(row[m], q1, m)) for m in row_ms]
+                for row, row_ms in zip(census, ms[i:i + step])]
+    return out
+
+
 def star_fibers(form):
     """Fiber Counter of f on F_q^* (keyed by dlog), from the oracle."""
     return Counter(star_census(form)[0].tolist())
 
 
 def brute_verdict_star(form, m):
-    q1 = form.spec.q - 1
-    if not 1 <= m <= q1:
-        raise ValueError(f"m out of range [1, {q1}]: {m}")
-    return bool(fibers_verdict(star_census(form)[1][m], q1, m))
+    return star_verdicts([form], [[m]])[0][0]
 
 
 # -- the main reduction --------------------------------------------------------
@@ -439,8 +464,7 @@ def hd_family_predict(field, base_degree, r, s, d, e, t):
     F_(q0^n0), q0 = p^base_degree, h = h_d(x^e)^t.
 
     Two regimes: ell*m1 | gcd(q0-1, n0) gives m = m1; n0 even with
-    ell*m1 | q0+1 gives m = gcd(ell*m1, r + (1-d)*e*s*t/(q0-1)), or None (f
-    is m-to-1 at no m in [1, ell*m1]) when m1 does not divide that gcd.
+    ell*m1 | q0+1 gives m = gcd(ell*m1, r + (1-d)*e*s*t/(q0-1)).
     Divisibility hypotheses outside both regimes raise HypothesisError.
     """
     if field.n % base_degree:
@@ -461,12 +485,14 @@ def hd_family_predict(field, base_degree, r, s, d, e, t):
         m = m1
     elif n0 % 2 == 0 and (q0 + 1) % (ell * m1) == 0:
         case = "q+1"
+        # ell*m1 | q0+1 and n0 even make s/(q0-1) =
+        # ((q0+1)/ell) (q0^n0-1)/(q0^2-1) a multiple of m1, so m1 divides
+        # the shift and r, hence m: m1 | m always holds here, and the shift
+        # is always integral (its check stays, as a hypothesis scan)
         shift_num = (1 - d) * e * s * t
         if shift_num % (q0 - 1):
             raise HypothesisError("(1-d)est/(q0-1) is not integral")
         m = math.gcd(ell * m1, r + shift_num // (q0 - 1))
-        if m % m1:
-            m = None
     else:
         raise HypothesisError(
             f"neither ell*m1 | (q0-1, n0) nor (n0 even and ell*m1 | q0+1) holds")

@@ -4,7 +4,8 @@ Elements are encoded as integers in [0, q): the coefficient vector
 (c0, c1, ..., c_{n-1}) of an element in the polynomial basis maps to
 c0 + c1*p + ... + c_{n-1}*p^{n-1}.  On construction a field precomputes
 exp/log tables for its canonical primitive element, so multiplication,
-inversion, powers and discrete logs are table lookups.  Fields are capped
+inversion, powers and discrete logs are table lookups; so is addition in an
+odd-characteristic extension field, through a Zech logarithm table.  Fields are capped
 at q <= 2**16 because every downstream check is an exhaustive sweep.
 """
 
@@ -137,7 +138,7 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "exp", "log", "_gen", "_modmask",
-                 "_arrays", "__weakref__")
+                 "_arrays", "_zech", "__weakref__")
 
     def __init__(self, p, n=1, modulus=None):
         if not is_prime(p):
@@ -161,7 +162,7 @@ class FieldSpec:
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
         self._modmask = _coeffs_to_idx(modulus, p)  # the modulus as an index
-        self._arrays = None
+        self._arrays = self._zech = None
         self._build_tables()
 
     # -- raw arithmetic used only while bootstrapping the tables --
@@ -195,6 +196,23 @@ class FieldSpec:
             e >>= 1
         return r
 
+    def _times_table(self, c):
+        """T[e] = e*c for every index e.  Multiplying by c is F_p-linear on
+        base-p digit vectors, so digits(e*c) = digits(e) @ M (mod p), where
+        row i of M holds the digits of p^i * c; the digit arrays take the
+        narrowest dtype that holds n*(p-1)^2."""
+        p, n, q = self.p, self.n, self.q
+        powers = p ** np.arange(n)
+        dtype = np.min_scalar_type(n * (p - 1) ** 2)
+        mat = np.array([_idx_to_coeffs(self._raw_mul(int(b), c), p, n)
+                        for b in powers], dtype=dtype)
+        idx = np.arange(q)
+        digits = np.empty((q, n), dtype=dtype)
+        for i, b in enumerate(powers):
+            digits[:, i] = idx // b % p
+        prod = digits @ mat % p
+        return sum(prod[:, i] * b for i, b in enumerate(powers)).tolist()
+
     def _build_tables(self):
         q1 = self.q - 1
         fac = prime_factors(q1)
@@ -205,6 +223,8 @@ class FieldSpec:
                 break
         if gen is None:
             raise FieldError("no primitive element found")  # unreachable
+        # the table pays off where _raw_mul runs its Python digit loop
+        table = self._times_table(gen) if self.p > 2 and self.n > 1 else None
         exp = [0] * (2 * q1)
         log = [-1] * self.q
         e = 1
@@ -212,7 +232,7 @@ class FieldSpec:
             exp[k] = e
             exp[k + q1] = e
             log[e] = k
-            e = self._raw_mul(e, gen)
+            e = table[e] if table else self._raw_mul(e, gen)
         if e != 1:
             raise FieldError("exp table did not close")  # unreachable
         self._gen = gen
@@ -227,13 +247,22 @@ class FieldSpec:
             return i ^ j
         if self.n == 1:
             return (i + j) % p
-        out, m = 0, 1
-        while i or j:
-            i, di = divmod(i, p)
-            j, dj = divmod(j, p)
-            out += (di + dj) % p * m
-            m *= p
-        return out
+        # g^a + g^b = g^a (1 + g^(b-a)): one Zech-table lookup
+        if not i or not j:
+            return i or j
+        log = self.log
+        li = log[i]
+        z = (self._zech or self._build_zech())[(log[j] - li) % (self.q - 1)]
+        return 0 if z < 0 else self.exp[li + z]
+
+    def _build_zech(self):
+        """Z[k] = log(1 + g^k), -1 where 1 + g^k = 0.  Adding 1 changes only
+        the lowest base-p digit of an index."""
+        q1, p = self.q - 1, self.p
+        exp, log = self.arrays()
+        low = exp[:q1] % p
+        self._zech = log[exp[:q1] - low + (low + 1) % p].tolist()
+        return self._zech
 
     def neg(self, i):
         if self.n == 1:
@@ -622,9 +651,13 @@ class Poly:
 
     def eval_index(self, xi):
         spec = self.spec
+        if xi == 0:
+            return self.coeffs[0] if self.coeffs else 0
+        exp, log, add = spec.exp, spec.log, spec.add
+        lx = log[xi]
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = spec.add(spec.mul(acc, xi), c)
+        for c in reversed(self.coeffs):  # Horner, multiplying by logs
+            acc = add(exp[log[acc] + lx] if acc else 0, c)
         return acc
 
     def __call__(self, x):
@@ -656,12 +689,14 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly(spec, ())
+        exp, log, add = spec.exp, spec.log, spec.add
+        blogs = [(j, log[bj]) for j, bj in enumerate(b) if bj]
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = spec.add(out[i + j], spec.mul(ai, bj))
+                la = log[ai]
+                for j, lb in blogs:
+                    out[i + j] = add(out[i + j], exp[la + lb])
         return Poly(spec, out)
 
     def __pow__(self, e):
@@ -691,6 +726,17 @@ class Poly:
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return Poly(self.spec, out)
+
+    def fold(self, period):
+        """self mod x^period - 1: the coefficient of x^k moves to x^(k mod
+        period).  The two agree wherever x^period = 1."""
+        if len(self.coeffs) <= period:
+            return self
+        spec = self.spec
+        out = list(self.coeffs[:period])
+        for k in range(period, len(self.coeffs)):
+            out[k % period] = spec.add(out[k % period], self.coeffs[k])
+        return Poly(spec, out)
 
     def frobenius(self, d=1):
         """Coefficient-wise p^d power (the conjugate polynomial)."""

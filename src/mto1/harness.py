@@ -38,12 +38,13 @@ from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
 from .multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fibers_verdict)
-from .unitline import (base_trace, frob_q, g3_family, g5_family,
+from .unitline import (base_trace, frob_q, g3_families, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
-                       line_poly_deg1, line_poly_rk, quartic_rootless_lemma,
-                       tower_gbar_predict, tower_line_predict,
-                       tower_unit_predict, transfer_families, unit_pair_deg1,
-                       unit_pair_g3, unit_subgroup_points)
+                       line_poly_deg1, line_poly_rk, observe_towers,
+                       quartic_rootless_lemma, tower_gbar_predict,
+                       tower_line_predict, tower_unit_predict,
+                       transfer_families, unit_pair_deg1, unit_pair_g3,
+                       unit_subgroup_points)
 
 
 @dataclass
@@ -515,17 +516,15 @@ def _eval_g3(params):
     trinomials = params.get("trinomials", True)
     _, half = quadratic_base(spec)
     tally = _Tally()
-    for ci in subfield_indices(spec, half):
-        if ci == 0:
-            continue
-        rec = g3_family(spec, FieldElement(spec, ci), trinomials=trinomials)
+    cs = [FieldElement(spec, ci) for ci in subfield_indices(spec, half) if ci]
+    for rec in g3_families(spec, cs, trinomials=trinomials):
         ok = rec["g_verdict"] and rec.get("g1_verdict", True)
         if trinomials:
             ok = ok and all(
                 rec[f"{nm}_{w}_predicted"] == rec[f"{nm}_{w}_observed"]
                 for nm in ("f_a", "f_b") for w in ("1to1", "3to1"))
         if not tally.check(ok):
-            tally.bad.append({"c": str(FieldElement(spec, ci))})
+            tally.bad.append({"c": str(rec["c"])})
     return [tally.record({"field": list(params["field"][:2]),
                           "trinomials": trinomials})]
 
@@ -633,6 +632,7 @@ def _eval_tower_batch(params):
     tally = _Tally()
     bad = tally.bad
     cond_mismatch = []
+    drawn = []  # (cond, record) of every checked draw, in draw order
     for _ in range(params["draws"]):
         n = rng.randrange(1, q + 3)
         m1 = rng.choice(_divisors(q - 1))
@@ -699,7 +699,10 @@ def _eval_tower_batch(params):
             # H rootlessness is itself a hypothesis of these two corollaries
             tally.skipped += 1
             continue
-        tally.checked += 1
+        drawn.append((cond, rec))
+    observe_towers([rec for _, rec in drawn])
+    tally.checked += len(drawn)
+    for cond, rec in drawn:
         if rec["hypotheses_ok"] != cond:
             cond_mismatch.append({"family": fam, "failed": rec["failed"],
                                   "cond": cond, "params": rec["params"]})

@@ -157,6 +157,20 @@ def admissible_m_set(mapping):
     return frozenset(m for m in census if census_verdict(census, size, m))
 
 
+def sorted_row_censuses(values):
+    """census[i, c]: how many distinct values occur exactly c times in row i
+    of a 2-D array.  Rows are sorted, so the cost does not depend on the
+    range of the values."""
+    values = np.sort(values, axis=1)
+    rows, width = values.shape
+    starts = np.ones(values.shape, dtype=bool)
+    starts[:, 1:] = values[:, 1:] != values[:, :-1]
+    starts = np.flatnonzero(starts)
+    runs = np.diff(starts, append=values.size)
+    return np.bincount(starts // width * (width + 1) + runs,
+                       minlength=rows * (width + 1)).reshape(rows, width + 1)
+
+
 def fiber_census(fib):
     """{fiber size: number of image points with a fiber of that size}, from a
     fiber Counter; one census answers every m in O(1)."""

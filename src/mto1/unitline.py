@@ -15,11 +15,13 @@ from __future__ import annotations
 import math
 from functools import partial
 
+import numpy as np
+
 from .criteria import HypothesisError
-from .cyclotomic import CycloForm, brute_verdict_star
+from .cyclotomic import CycloForm, star_verdicts
 from .galois import (FieldElement, FieldError, Poly, quadratic_base,
                      relative_trace, subfield_indices)
-from .multiplicity import FiniteMapping, check_m_to_1
+from .multiplicity import fibers_verdict, sorted_row_censuses
 
 
 class Infinity:
@@ -290,15 +292,121 @@ def halfplane_split(field):
 
 
 # -- section-style rational families: 3-to-1 ------------------------------------
+#
+# All g3/g5 fields have characteristic 2, where adding indices is XOR: the
+# families below evaluate their polynomials on U_{q+1} as index arrays, one
+# row per polynomial, and read every verdict from one census per row.
 
-def _unit_mapping(field, fn):
-    pts = [FieldElement(field, i) for i in unit_subgroup_points(field)]
-    return FiniteMapping(tuple(pts), tuple(fn(x) for x in pts))
+def _unit_logs(field):
+    """The dlogs k*(q-1) of the points of U_{q+1}, k = 0..q, as int32."""
+    q, _ = quadratic_base(field)
+    return np.arange(q + 1, dtype=np.int32) * (q - 1)
 
 
-def _poly_pair_rootless(field, polys):
-    units = unit_subgroup_points(field)
-    return all(poly.eval_index(i) for poly in polys for i in units)
+def _unit_values(field, coeffs):
+    """out[i, k] = h_i(u_k) for the points u_k of U_{q+1} in dlog order
+    (characteristic 2); row i of coeffs holds h_i's coefficient indices low
+    to high.  Each term is an exp/log lookup, and terms add by XOR."""
+    q, _ = quadratic_base(field)
+    exp, log = field.arrays()
+    coeffs = np.asarray(coeffs)
+    units = _unit_logs(field)
+    out = np.zeros((len(coeffs), q + 1), dtype=exp.dtype)
+    for j, col in enumerate(coeffs.T):
+        term = exp[(log[col][:, None] + j * units) % (field.q - 1)]
+        out ^= np.where(col[:, None] == 0, 0, term)
+    return out
+
+
+def _quotient_codes(field, num, den):
+    """num/den as value codes, element indices with field.q for INF, from
+    index arrays of num and den; 0/0 raises RationalEvalError."""
+    if ((num == 0) & (den == 0)).any():
+        raise RationalEvalError("0/0 on U_{q+1}")
+    exp, log = field.arrays()
+    codes = exp[(log[num] - log[den]) % (field.q - 1)]
+    codes[num == 0] = 0
+    codes[den == 0] = field.q
+    return codes
+
+
+def _traces(field, idx):
+    """Tr_{q/2} of the F_q elements with indices idx, as 0/1."""
+    _, n = quadratic_base(field)
+    exp, log = field.arrays()
+    logs = log[idx]
+    tr = np.bitwise_xor.reduce(
+        [exp[logs * 2 ** i % (field.q - 1)] for i in range(n)], axis=0)
+    return np.where(idx == 0, 0, tr)
+
+
+def _verdicts(census, size, ms):
+    """fibers_verdict at ms[i] on row i of a census array."""
+    ms = np.asarray(ms)
+    return fibers_verdict(census[np.arange(len(ms)), ms], size, ms)
+
+
+def g3_families(field, cs, trinomials=True):
+    """The (c x^3 + x^2 + 1)/(x^3 + x + c) family on U_{q+1}, q = 2^n, for
+    every c in cs: one record per c, as g3_family describes it.  num, den
+    and g1 are index arrays with one row per c, each row gets one fiber
+    census, and the trinomials of every c share their oracle calls."""
+    if field.p != 2:
+        raise HypothesisError("g3 family needs characteristic 2")
+    q, n = quadratic_base(field)
+    for c in cs:
+        if c.spec != field or c.is_zero:
+            raise HypothesisError("c must be a nonzero element of F_q")
+        if frob_q(field, c) != c:
+            raise HypothesisError("c must lie in the base field F_q")
+    ci = np.array([c.index for c in cs])
+    one, zero = np.ones_like(ci), np.zeros_like(ci)
+    den = _unit_values(field, np.stack([ci, one, zero, one], axis=1))
+    num = _unit_values(field, np.stack([one, zero, one, ci], axis=1))
+    for c, row in zip(cs, den):
+        if not row.all():
+            raise HypothesisError(
+                f"x^3 + x + c has a root in U_{q + 1} at c = {c}")
+
+    exp, log = field.arrays()
+    inv = exp[-log[ci] % (field.q - 1)]
+    tr_shift = _traces(field, inv ^ 1)  # Tr(1 + 1/c)
+    tr_inv = _traces(field, inv)
+    g_m = np.where(tr_shift == 0, 1, 3)
+    g_ok = _verdicts(sorted_row_censuses(_quotient_codes(field, num, den)),
+                     q + 1, g_m)
+    if n % 2 == 0:
+        # companion g1 = x * (x^3+x+c)^((q-1)/3); 1-to-1 iff Tr(1/c)=0
+        g1_logs = (_unit_logs(field) + (q - 1) // 3 * log[den]) % (field.q - 1)
+        g1_m = np.where(tr_inv == 0, 1, 3)
+        g1_ok = _verdicts(sorted_row_censuses(g1_logs), q + 1, g1_m)
+    if trinomials:
+        # f_a = x^(3q)+x^(q+2)+cx^3 = x^3 (y^3+y+c)|y=x^(q-1),
+        # f_b = cx^(3q)+x^(2q+1)+x^3 = x^3 (cy^3+y^2+1)|y=x^(q-1)
+        forms = [CycloForm(field, 3, q - 1, Poly(field, coeffs))
+                 for c in cs
+                 for coeffs in ((c.index, 1, 0, 1), (1, 0, 1, c.index))]
+        observed = star_verdicts(forms, [(1, 3)] * len(forms))
+
+    records = []
+    for i, c in enumerate(cs):
+        rec = {"q": q, "n": n, "c": c, "tr_1_plus_inv": int(tr_shift[i]),
+               "g_predicted_m": int(g_m[i]), "g_verdict": bool(g_ok[i]),
+               "tr_inv": int(tr_inv[i])}
+        if n % 2 == 0:
+            rec["g1_predicted_m"] = int(g1_m[i])
+            rec["g1_verdict"] = bool(g1_ok[i])
+        if trinomials:
+            one_pred = (n % 2 == 1) and rec["tr_inv"] == 1
+            three_pred = rec["tr_inv"] == 0
+            for name, (one_obs, three_obs) in (("f_a", observed[2 * i]),
+                                               ("f_b", observed[2 * i + 1])):
+                rec[f"{name}_1to1_predicted"] = one_pred
+                rec[f"{name}_1to1_observed"] = one_obs
+                rec[f"{name}_3to1_predicted"] = three_pred
+                rec[f"{name}_3to1_observed"] = three_obs
+        records.append(rec)
+    return records
 
 
 def g3_family(field, c, trinomials=True):
@@ -309,61 +417,7 @@ def g3_family(field, c, trinomials=True):
     unless trinomials=False (full F_{q^2} scans get heavy for large n), the
     two trinomial realizations over F_{q^2}, each verified by scan.
     """
-    if field.p != 2:
-        raise HypothesisError("g3 family needs characteristic 2")
-    q, n = quadratic_base(field)
-    if c.spec != field or c.is_zero:
-        raise HypothesisError("c must be a nonzero element of F_q")
-    if frob_q(field, c) != c:
-        raise HypothesisError("c must lie in the base field F_q")
-    one = field.one
-    den = Poly.from_elements(field, (c, one, field.zero, one))   # x^3 + x + c
-    num = Poly.from_elements(field, (one, field.zero, one, c))   # c x^3 + x^2 + 1
-    if not _poly_pair_rootless(field, [den]):
-        raise HypothesisError(f"x^3 + x + c has a root in U_{q + 1} at c = {c}")
-    g = RationalMap(num, den)
-
-    tr_shift = base_trace(field, one + one / c)
-    predicted_m = 1 if tr_shift.is_zero else 3
-    gmap = _unit_mapping(field, g)
-    scan = check_m_to_1(gmap, predicted_m)
-
-    record = {"q": q, "n": n, "c": c, "tr_1_plus_inv": 0 if tr_shift.is_zero else 1,
-              "g_predicted_m": predicted_m, "g_verdict": scan.verdict,
-              "g_report": scan}
-
-    tr_inv = base_trace(field, one / c)
-    record["tr_inv"] = 0 if tr_inv.is_zero else 1
-
-    if n % 2 == 0:
-        # companion g1 = x * (x^3+x+c)^((q-1)/3); 1-to-1 iff Tr(1/c)=0
-        e = (q - 1) // 3
-
-        def g1(x):
-            return x * FieldElement(
-                field, field.pow(den.eval_index(x.index), e))
-
-        g1_pred = 1 if tr_inv.is_zero else 3
-        g1_scan = check_m_to_1(_unit_mapping(field, g1), g1_pred)
-        record["g1_predicted_m"] = g1_pred
-        record["g1_verdict"] = g1_scan.verdict
-
-    if trinomials:
-        # f_a = x^(3q)+x^(q+2)+cx^3 = x^3 (y^3+y+c)|y=x^(q-1),
-        # f_b = cx^(3q)+x^(2q+1)+x^3 = x^3 (cy^3+y^2+1)|y=x^(q-1)
-        forms = {
-            "f_a": CycloForm(field, 3, q - 1, den),
-            "f_b": CycloForm(field, 3, q - 1, num),
-        }
-        one_pred = (n % 2 == 1) and record["tr_inv"] == 1
-        three_pred = record["tr_inv"] == 0
-        for name, form in forms.items():
-            record[f"{name}_1to1_predicted"] = one_pred
-            record[f"{name}_1to1_observed"] = brute_verdict_star(form, 1)
-            record[f"{name}_3to1_predicted"] = three_pred
-            record[f"{name}_3to1_observed"] = brute_verdict_star(form, 3)
-        record["forms"] = forms
-    return record
+    return g3_families(field, [c], trinomials)[0]
 
 
 # -- section-style rational families: 5-to-1 -------------------------------------
@@ -372,10 +426,8 @@ def quartic_rootless_lemma(field):
     """x^4 + x + 1 and x^4 + x^3 + 1 have no roots in U_{q+1} (char 2)."""
     if field.p != 2:
         raise HypothesisError("lemma lives in characteristic 2")
-    one, zero = 1, 0
-    p1 = Poly(field, (one, one, zero, zero, one))   # x^4 + x + 1
-    p2 = Poly(field, (one, zero, zero, one, one))   # x^4 + x^3 + 1
-    return _poly_pair_rootless(field, [p1, p2])
+    return bool(_unit_values(field, [(1, 1, 0, 0, 1),    # x^4 + x + 1
+                                     (1, 0, 0, 1, 1)]).all())  # x^4 + x^3 + 1
 
 
 def g_permutation_lemma(field):
@@ -401,38 +453,40 @@ def g5_family(field):
     q, n = quadratic_base(field)
     num = Poly(field, (1, 1, 0, 0, 1))       # x^4 + x + 1
     den = Poly(field, (0, 1, 0, 0, 1, 1))    # x^5 + x^4 + x
-    g = RationalMap(num, den)
     predicted_m = 5 if n % 4 == 2 else 1
-    scan = check_m_to_1(_unit_mapping(field, g), predicted_m)
+    values = _unit_values(field, [num.coeffs + (0,), den.coeffs])
+    census = sorted_row_censuses(
+        _quotient_codes(field, values[:1], values[1:]))
     record = {"q": q, "n": n, "g_predicted_m": predicted_m,
-              "g_verdict": scan.verdict, "g_report": scan}
+              "g_verdict": bool(_verdicts(census, q + 1, [predicted_m])[0])}
 
     h1 = Poly(field, (1, 0, 0, 1, 1))  # x^4 + x^3 + 1
     h2 = Poly(field, (0, 1, 1, 0, 0, 1))  # x^5 + x^2 + x
-
+    checks = []  # (form, ((record key, m), ...)): one oracle pass for all
     if n % 2 == 0:
         # f1 = x^(4q+1)+x^(3q+2)+x^5 and f2 = x^(5q)+x^(2q+3)+x^(q+4)
         m_pred = math.gcd(5, q - 1)
         for name, h in (("f1", h1), ("f2", h2)):
-            form = CycloForm(field, 5, q - 1, h)
             record[f"{name}_m"] = m_pred
-            record[f"{name}_verdict"] = brute_verdict_star(form, m_pred)
-
+            checks.append((CycloForm(field, 5, q - 1, h),
+                           ((f"{name}_verdict", m_pred),)))
     if n >= 2:
         # f3 = x^(4q-1)+x^(3q)+x^3: 1-to-1 iff n odd, 3-to-1 iff n = 0 mod 4
-        form3 = CycloForm(field, 3, q - 1, h1)
         record["f3_1to1_predicted"] = n % 2 == 1
-        record["f3_1to1_observed"] = brute_verdict_star(form3, 1)
         record["f3_3to1_predicted"] = n % 4 == 0
-        record["f3_3to1_observed"] = brute_verdict_star(form3, 3)
-
+        checks.append((CycloForm(field, 3, q - 1, h1),
+                       (("f3_1to1_observed", 1), ("f3_3to1_observed", 3))))
     # f5a = x^(4q+1)+x^(q+4)+x^5 and f5b = x^(5q)+x^(4q+1)+x^(q+4):
     # 1-to-1 for odd n, 5-to-1 for even n
     pred_m5 = 1 if n % 2 else 5
     for name, h in (("f5a", num), ("f5b", den)):
-        form = CycloForm(field, 5, q - 1, h)
         record[f"{name}_predicted_m"] = pred_m5
-        record[f"{name}_verdict"] = brute_verdict_star(form, pred_m5)
+        checks.append((CycloForm(field, 5, q - 1, h),
+                       ((f"{name}_verdict", pred_m5),)))
+    verdicts = star_verdicts([form for form, _ in checks],
+                             [[m for _, m in keys] for _, keys in checks])
+    for (_, keys), row in zip(checks, verdicts):
+        record.update(zip([key for key, _ in keys], row))
     return record
 
 
@@ -467,8 +521,8 @@ def transfer_families(field, base, c=None, d=3, k=1):
         predicted = True
     form_f = CycloForm(field, m0, q - 1, h)
     form_big = CycloForm(field, m0 + k * (d - 1), q - 1, hd ** k * h)
-    observed = brute_verdict_star(form_big, m0)
-    base_obs = brute_verdict_star(form_f, m0)
+    (observed,), (base_obs,) = star_verdicts([form_big, form_f],
+                                             [[m0], [m0]])
     return {"base": base, "m": m0, "predicted": predicted,
             "observed": observed, "base_observed": base_obs,
             "agree": predicted == observed == base_obs}
@@ -509,22 +563,41 @@ def _clear_denominators(N, L, M, u=None):
     return acc
 
 
-def _tower_record(params, failed=None, predicted=None, observed=None):
-    rec = {"params": params, "hypotheses_ok": failed is None, "failed": failed,
-           "predicted": predicted, "observed": observed}
-    rec["agree"] = (predicted == observed) if failed is None else None
-    return rec
+def _tower_record(params, failed=None, predicted=None):
+    """A tower record; "observed" and "agree" wait for observe_towers."""
+    return {"params": params, "hypotheses_ok": failed is None,
+            "failed": failed, "predicted": predicted, "observed": None,
+            "agree": None}
 
 
-def _tower_outcome(field, r, h, m, params, predicted):
-    """Record the predicted verdict at m for f = x^r h(x^(q-1)) against the
-    F_{q^2}^* scan; an h with roots in U fails the hypotheses instead."""
+def _tower_outcome(field, r, H, m1, m, params, predicted):
+    """The record of f = x^r H(x^(q-1))^m1 with its predicted verdict at m,
+    holding f's form and m for observe_towers; an H with roots in U fails
+    the hypotheses instead.  y = x^(q-1) has y^(q+1) = 1 on F_{q^2}^*, so
+    H^m1 is taken mod y^(q+1) - 1: the same f, and deg h <= q."""
     q, _ = quadratic_base(field)
+    h = (H.fold(q + 1) ** m1).fold(q + 1)
     try:
         form = CycloForm(field, r, q - 1, h)
     except HypothesisError:
         return _tower_record(params, "H has roots in U")
-    return _tower_record(params, None, predicted, brute_verdict_star(form, m))
+    rec = _tower_record(params, None, predicted)
+    rec["form"], rec["m"] = form, m
+    return rec
+
+
+def observe_towers(records):
+    """Fill in "observed" and "agree" of the tower records that hold a form
+    (all over one field) from the F_{q^2}^* scan, in shared oracle calls;
+    returns records."""
+    pending = [rec for rec in records if "form" in rec]
+    if pending:
+        verdicts = star_verdicts([rec.pop("form") for rec in pending],
+                                 [[rec.pop("m")] for rec in pending])
+        for rec, (verdict,) in zip(pending, verdicts):
+            rec["observed"] = verdict
+            rec["agree"] = rec["predicted"] == verdict
+    return records
 
 
 def _line_tower_failure(field, half, pair, N):
@@ -562,7 +635,9 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     is m-to-1 on F_{q^2}^* iff m1 | m and (n, q+1) = m/m1.
 
     Hypothesis failures are reported in the record, not raised: the scans are
-    themselves the object under test.
+    themselves the object under test.  A passing record holds f's form
+    until observe_towers fills in the scan's verdict, as for the other two
+    towers.
     """
     q, half = quadratic_base(field)
     L1, M1, eps1, t1 = inner
@@ -586,7 +661,7 @@ def tower_unit_predict(field, inner, outer, n, r, m):
 
     H = _clear_denominators(M2, L1 ** n, M1 ** n, u=t2)
     predicted = m % m1 == 0 and math.gcd(n, q + 1) == m // m1
-    return _tower_outcome(field, r, H ** m1, m, params, predicted)
+    return _tower_outcome(field, r, H, m1, m, params, predicted)
 
 
 def tower_line_predict(field, pair, N, n, r, m):
@@ -614,7 +689,7 @@ def tower_line_predict(field, pair, N, n, r, m):
     g = math.gcd(n, q - 1)
     predicted = (m == m1 and g == 1) or (
         m % m1 == 0 and g == m // m1 and g >= 3 and 2 * (q - 1) < m)
-    return _tower_outcome(field, r, H ** m1, m, params, predicted)
+    return _tower_outcome(field, r, H, m1, m, params, predicted)
 
 
 def tower_gbar_predict(field, pair, N, alpha, r):
@@ -645,7 +720,7 @@ def tower_gbar_predict(field, pair, N, alpha, r):
           + (M ** 3).scale(sigma))
     h2 = (L ** 2 * M + (L * M ** 2).scale(sigma) + (M ** 3).scale(pi))
     H = _clear_denominators(N, h1, h2)
-    return _tower_outcome(field, r, H ** m1, m1, params, sigma == field.one)
+    return _tower_outcome(field, r, H, m1, m1, params, sigma == field.one)
 
 
 # -- ready-made (L, M, eps, t) pairs ----------------------------------------------

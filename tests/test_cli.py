@@ -318,6 +318,16 @@ REPORT_PINS = {
         "aa633812fc9312f6d47c3483b2d9c7d78aa75346c992de57d1552286bbe6fa57",
     ("hd",):
         "d827e2f0e39223d480df30926aca37e8e111a92adece599e25f6caa1cefc8810",
+    ("g3",):
+        "301380a0b065dd30d07468b521c87d4127bd48c1a5941ae7b60a8b6f95b48a42",
+    ("g5",):
+        "d2f6af27f24434043173c7dd60858848af8ff31a69bf607e4d2423fa10b1dda5",
+    ("lemmas",):
+        "1cf1963166983ca7ffa6cf4c77428f29edb586acef5550daae2dc142e94e1479",
+    ("transfer",):
+        "3f4a036173d0e601410085e9417380f2348034f7cf270aeadad7ac8797a467d7",
+    ("towers", "--q", "3,4", "--draws", "50"):
+        "bf6950b802de99ca2816e7288a9d4315faaa0cde5f4b43e8588c2f6f55a112ac",
 }
 
 

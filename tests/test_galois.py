@@ -331,3 +331,66 @@ def test_eval_powers_matches_eval_index_everywhere(p, n):
                                     for k in range(q1)]
     # a single row and the zero-width matrix of the zero polynomial
     assert eval_powers(spec, [()], 1).tolist() == [[0] * q1]
+
+
+def _digit_sum(spec, i, j):
+    """i + j by the definition: base-p digits added mod p."""
+    out, place = 0, 1
+    while i or j:
+        i, di = divmod(i, spec.p)
+        j, dj = divmod(j, spec.p)
+        out += (di + dj) % spec.p * place
+        place *= spec.p
+    return out
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_zech_add_matches_digit_sums_on_every_pair(p, n):
+    spec = build_field(p, n)
+    for i in range(spec.q):
+        for j in range(spec.q):
+            assert spec.add(i, j) == _digit_sum(spec, i, j), (i, j)
+
+
+def test_zech_add_matches_digit_sums_on_random_pairs_3_8():
+    spec = build_field(3, 8)
+    rng = random.Random("zech-3^8")
+    pairs = [(rng.randrange(spec.q), rng.randrange(spec.q))
+             for _ in range(20000)]
+    pairs += [(i, spec.neg(i)) for i in range(0, spec.q, 97)]  # sums to 0
+    for i, j in pairs:
+        assert spec.add(i, j) == _digit_sum(spec, i, j), (i, j)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 5), (5, 3), (7, 2), (13, 2),
+                                 (2, 6), (11, 1)])
+def test_exp_table_walks_the_generator(p, n):
+    # the multiply-by-generator table must give the tables that repeated
+    # raw products give
+    spec = build_field(p, n)
+    q1 = spec.q - 1
+    e = 1
+    for k in range(q1):
+        assert spec.exp[k] == spec.exp[k + q1] == e
+        assert spec.log[e] == k
+        e = spec._raw_mul(e, spec._gen)
+    assert e == 1 and spec.log[0] == -1
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2), (2, 6), (7, 2)])
+def test_fold_agrees_with_the_polynomial_on_u(p, n):
+    # mod x^(q+1) - 1 the folded polynomial takes the unfolded one's value
+    # at every point of U_(q+1) inside F_(q^2)
+    spec = build_field(p, n)
+    q = p ** (n // 2)
+    step = (spec.q - 1) // (q + 1)
+    units = [spec.exp_at(k * step) for k in range(q + 1)]
+    rng = random.Random(f"fold-{p}-{n}")
+    for deg in (0, q, q + 1, 2 * q + 3, 7 * q):
+        poly = Poly(spec, [rng.randrange(spec.q) for _ in range(deg + 1)])
+        folded = poly.fold(q + 1)
+        assert folded.degree <= q
+        assert [folded.eval_index(u) for u in units] == [
+            poly.eval_index(u) for u in units]
+    vanishing = Poly.monomial(spec, q + 1) - Poly.constant(spec, 1)
+    assert vanishing.fold(q + 1).is_zero

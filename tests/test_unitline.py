@@ -11,9 +11,10 @@ from mto1.cyclotomic import CycloForm, brute_verdict_star, main_predict
 from mto1.galois import FieldElement, Poly, build_field, subfield_indices
 from mto1.multiplicity import FiniteMapping, admissible_m_set, check_m_to_1
 from mto1.unitline import (INF, Deg1Map, RationalEvalError, RationalMap,
-                           deg1_permutes_unit, deg1_unit_to_line,
-                           frob_q, g3_family, g5_family, g_permutation_lemma,
-                           halfplane_split, line_pair_deg1, line_poly_deg1,
+                           _tower_outcome, base_trace, deg1_permutes_unit,
+                           deg1_unit_to_line, frob_q, g3_families, g3_family,
+                           g5_family, g_permutation_lemma, halfplane_split,
+                           line_pair_deg1, line_poly_deg1, observe_towers,
                            permutes_unit_scan,
                            quartic_rootless_lemma, rat_eval,
                            tower_gbar_predict, tower_line_predict,
@@ -312,7 +313,8 @@ def test_tower_unit_trivial_n1_matches_main_predict():
             H = Poly.monomial(spec, n, alpha) + Poly.constant(spec, beta)
             form = CycloForm(spec, r, q - 1, H ** m1)
             for m in range(1, m1 * (q + 1) + 1):
-                rec = tower_unit_predict(spec, inner, outer, n, r, m)
+                rec, = observe_towers(
+                    [tower_unit_predict(spec, inner, outer, n, r, m)])
                 if not rec["hypotheses_ok"]:
                     continue
                 assert rec["agree"], (n, r, m)
@@ -346,8 +348,9 @@ def test_tower_unit_r1l1_example_grid_q4():
         if r is None:
             continue
         m = rng.randrange(1, m1 * (q + 1) + 1)
-        rec = tower_unit_predict(spec, unit_pair_deg1(spec, gamma, delta),
-                                 unit_pair_deg1(spec, alpha, beta), n, r, m)
+        rec, = observe_towers([tower_unit_predict(
+            spec, unit_pair_deg1(spec, gamma, delta),
+            unit_pair_deg1(spec, alpha, beta), n, r, m)])
         assert rec["hypotheses_ok"] == cond
         if cond:
             expected = m % m1 == 0 and math.gcd(n, q + 1) == m // m1
@@ -371,7 +374,7 @@ def test_tower_unit_with_g5_inner_pair_q8():
     r = next(m1 * (rho + j * (q + 1)) for j in range(9)
              if math.gcd(m1 * (rho + j * (q + 1)), q - 1) == m1)
     m = math.gcd(n, q + 1) * m1
-    rec = tower_unit_predict(spec, inner, outer, n, r, m)
+    rec, = observe_towers([tower_unit_predict(spec, inner, outer, n, r, m)])
     assert rec["hypotheses_ok"] and rec["agree"] and rec["predicted"]
 
 
@@ -396,7 +399,8 @@ def test_tower_gbar_final_theorem_q4():
                      None)
             if r is None:
                 continue
-            rec = tower_gbar_predict(spec, pair, N, alpha, r)
+            rec, = observe_towers([tower_gbar_predict(spec, pair, N, alpha,
+                                                      r)])
             if not rec["hypotheses_ok"]:
                 continue
             assert rec["agree"]
@@ -427,8 +431,9 @@ def test_tower_line_r1l1_q5():
         if r is None:
             continue
         m = m1 if rng.random() < 0.5 else rng.randrange(1, m1 * (q + 1) + 1)
-        rec = tower_line_predict(spec, line_pair_deg1(spec, gamma, delta),
-                                 line_poly_deg1(spec, alpha, beta), n, r, m)
+        rec, = observe_towers([tower_line_predict(
+            spec, line_pair_deg1(spec, gamma, delta),
+            line_poly_deg1(spec, alpha, beta), n, r, m)])
         assert rec["hypotheses_ok"] == cond, (gamma, delta, alpha, beta)
         if cond:
             gg = math.gcd(n, q - 1)
@@ -446,3 +451,87 @@ def test_rational_map_parsing():
     assert rm.den.coeffs == (spec.exp_at(3), 1)
     with pytest.raises(Exception):
         RationalMap.from_string(spec, "1,0,1")
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batched_g3_matches_brute_force_mappings(n):
+    # every c at once against FiniteMappings built here, point by point:
+    # g and g1 on U_(q+1), the trinomials on F_(q^2)^*
+    spec = build_field(2, 2 * n)
+    q = 2 ** n
+    cs = [spec.from_index(i) for i in subfield_indices(spec, n) if i]
+    recs = g3_families(spec, cs)
+    units = [spec.from_index(i) for i in unit_subgroup_points(spec)]
+    star = spec.star_elements()
+    one = spec.one
+
+    def tr(x):
+        return 0 if base_trace(spec, x).is_zero else 1
+
+    for c, rec in zip(cs, recs):
+        assert rec["c"] == c
+        assert rec["tr_1_plus_inv"] == tr(one + one / c)
+        assert rec["tr_inv"] == tr(one / c)
+        g = RationalMap(Poly(spec, (1, 0, 1, c.index)),
+                        Poly(spec, (c.index, 1, 0, 1)))
+        brute = FiniteMapping.from_function(units, g)
+        assert rec["g_verdict"] == check_m_to_1(
+            brute, rec["g_predicted_m"]).verdict
+        if n % 2 == 0:
+            g1 = FiniteMapping.from_function(
+                units, lambda x: x * (x ** 3 + x + c) ** ((q - 1) // 3))
+            assert rec["g1_verdict"] == check_m_to_1(
+                g1, rec["g1_predicted_m"]).verdict
+        else:
+            assert "g1_verdict" not in rec
+        f_a = FiniteMapping.from_function(
+            star, lambda x: x ** (3 * q) + x ** (q + 2) + c * x ** 3)
+        f_b = FiniteMapping.from_function(
+            star, lambda x: c * x ** (3 * q) + x ** (2 * q + 1) + x ** 3)
+        for name, brute in (("f_a", f_a), ("f_b", f_b)):
+            for w, m in (("1to1", 1), ("3to1", 3)):
+                assert rec[f"{name}_{w}_observed"] == check_m_to_1(
+                    brute, m).verdict, (c, name, w)
+    assert g3_families(spec, cs[:1]) == [g3_family(spec, cs[0])]
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2)])
+def test_tower_h_vanishing_on_u_has_roots_in_u(p, n):
+    # an H that is 0 at every point of U folds to the zero polynomial; the
+    # record must still name the failed hypothesis
+    spec = build_field(p, n)
+    q = p ** (n // 2)
+    vanishing = Poly.monomial(spec, q + 1) - Poly.constant(spec, 1)
+    for H in (vanishing, vanishing * Poly(spec, (1, 1)),
+              vanishing * vanishing):
+        for m1 in (1, q - 1):
+            rec = _tower_outcome(spec, m1, H, m1, m1, {}, True)
+            assert rec["failed"] == "H has roots in U"
+            assert not rec["hypotheses_ok"] and "form" not in rec
+            with pytest.raises(HypothesisError):
+                CycloForm(spec, m1, q - 1, H ** m1)
+
+
+def test_observed_tower_batch_matches_one_form_calls():
+    # records observed together, in one oracle call, agree with records
+    # observed one at a time
+    spec = build_field(2, 4)
+    q = 4
+    rng = random.Random("tower-batch")
+    inner = unit_pair_deg1(spec, spec.generator(), spec.one)
+    one_by_one, batch = [], []
+    while len(batch) < 40:
+        alpha = spec.from_index(rng.randrange(16))
+        beta = spec.from_index(rng.randrange(16))
+        outer = unit_pair_deg1(spec, alpha, beta)
+        n = rng.randrange(1, q + 3)
+        m1 = rng.choice((1, 3))
+        r = m1 * (n % (q + 1) or q + 1)
+        m = rng.randrange(1, m1 * (q + 1) + 1)
+        args = (spec, inner, outer, n, r, m)
+        one_by_one += observe_towers([tower_unit_predict(*args)])
+        batch.append(tower_unit_predict(*args))
+    pending = [rec for rec in batch if "form" in rec]
+    assert pending and all(rec["observed"] is None for rec in pending)
+    assert observe_towers(batch) == one_by_one
+    assert any(rec["agree"] for rec in one_by_one)
