@@ -3,7 +3,8 @@ theorem families over parameter grids, search for m-to-1 forms, and count
 m-to-1 self-maps.
 
 Exit codes: 0 success (and, for verify, zero disagreements); 1 verify found
-disagreements, or a search hit failed re-verification; 2 parse failure;
+disagreements, or a search hit failed re-verification; 2 parse failure,
+or a verify option the family does not declare or below its floor;
 3 unsupported scale; 4 search budget exceeded; 5 verify ran zero checks (a
 grid record counts its params.checked, any other record that is not skipped
 counts one); 6 a verify evaluator crashed (one line on stderr names the
@@ -20,7 +21,8 @@ import sys
 from .criteria import HypothesisError
 from .galois import FieldError, Poly, ScaleError, eval_powers, parse_field
 from .harness import FAMILIES, EvaluatorError, VerifyJob, run_job
-from .multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
+from .multiplicity import (ENUMERATION_MAX_Q, IndexMapping,
+                           admissible_m_set, check_m_to_1,
                            count_by_enumeration, count_formula,
                            fiber_histogram)
 from .search import BudgetError, DEFAULT_BUDGET, search_forms
@@ -46,25 +48,27 @@ def _parse_int_list(text):
     return out
 
 
-# the grid options that families iterate: a tuple even of one value
-GRID_LISTS = ("qs", "ns", "corollary_qs", "scan_qs")
-
-
-def _parse_grid(text):
+def _parse_grid(text, table):
     """Extra grid options: 'k=v;k2=v2' with v an int, int list, or range.
-    Only a GRID_LISTS option takes a list; towers takes (base_q, n0) pairs,
-    which this syntax cannot write, so it is refused."""
+    An option with a tuple default in the family's table stays a list even
+    of one value; any other declared option takes one int.  An undeclared
+    key is kept for build_instances to refuse by name."""
     opts = {}
     for pair in text.split(";"):
         if not pair.strip():
             continue
         key, _, value = (part.strip() for part in pair.partition("="))
-        values = tuple(_parse_int_list(value))
-        if key == "towers" or (key not in GRID_LISTS and len(values) > 1):
-            raise ValueError(f"--grid cannot give {key}={value}: only "
-                             f"{', '.join(GRID_LISTS)} take a list, and "
-                             f"towers takes (base_q, n0) pairs")
-        opts[key] = values if key in GRID_LISTS else values[0]
+        try:
+            values = tuple(_parse_int_list(value))
+        except ValueError:
+            raise ValueError(f"--grid {key}={value}: not an int, int list "
+                             f"or range") from None
+        if not isinstance(table.get(key, ()), tuple):
+            if len(values) > 1:
+                raise ValueError(f"--grid cannot give {key}={value}: {key} "
+                                 f"takes one int")
+            values = values[0]
+        opts[key] = values
     return opts
 
 
@@ -123,15 +127,11 @@ def cmd_analyze(args):
     return EXIT_OK
 
 
-# the least value of each count option: degmax < 0 would draw only h = 0,
-# and mcap = 0 or chunk = 0 would break a work item
-OPTION_FLOORS = {"hcount": 0, "draws": 0, "count": 0, "degmax": 0, "mcap": 1,
-                 "chunk": 1}
-
-
 def _verify_options(args):
     """The job's grid options: a flag means what its --grid key means, and
-    an option below its floor is refused before any work item runs."""
+    --all raises hcount and draws where the family declares them.
+    build_instances refuses an undeclared key or a value below its floor."""
+    table = FAMILIES[args.family].options
     opts = {}
     if args.q is not None:
         opts["qs"] = tuple(_parse_int_list(args.q))
@@ -141,13 +141,11 @@ def _verify_options(args):
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
     if args.grid:
-        opts.update(_parse_grid(args.grid))
+        opts.update(_parse_grid(args.grid, table))
     if args.all:
-        opts.setdefault("hcount", 200)
-        opts.setdefault("draws", 500)
-    for key, floor in OPTION_FLOORS.items():
-        if opts.get(key, floor) < floor:
-            raise ValueError(f"{key} must be >= {floor}, got {opts[key]}")
+        for key, value in (("hcount", 200), ("draws", 500)):
+            if key in table:
+                opts.setdefault(key, value)
     return opts
 
 
@@ -230,8 +228,9 @@ def cmd_count(args):
         ms = [args.m] if args.m is not None else list(range(1, q + 1))
         census = None
         if args.check:
-            if q > 6:
-                raise ScaleError(f"enumeration over {q}^{q} maps is too large")
+            if q > ENUMERATION_MAX_Q:
+                raise ScaleError(f"enumerating {q}^{q} maps needs "
+                                 f"q <= {ENUMERATION_MAX_Q}, got q = {q}")
             census = count_by_enumeration(q)
         for m in ms:
             row = {"q": q, "m": m, "count": count_formula(q, m)}

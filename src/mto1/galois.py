@@ -25,7 +25,7 @@ class FieldError(ValueError):
 
 
 class ScaleError(FieldError):
-    """Field exceeds the exhaustive-computation cap q <= 2**16."""
+    """A request beyond an exhaustive-computation cap, such as q <= 2**16."""
 
 
 def is_prime(m):

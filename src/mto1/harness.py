@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 from multiprocessing import Pool, cpu_count
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .cyclotomic import (CycloForm, check_square, conjunct_rule,
                          small_m_predict, star_census, transfer_equivalence)
 from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
                      build_field, quadratic_base, subfield_indices)
-from .multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
-                           count_by_enumeration, count_formula,
+from .multiplicity import (ENUMERATION_MAX_Q, FiniteMapping, IndexMapping,
+                           check_m_to_1, count_by_enumeration, count_formula,
                            fibers_verdict)
 from .unitline import (base_trace, frob_q, g3_families, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
@@ -60,6 +61,7 @@ MAIN_GRID_Q = (5, 7, 8, 9, 11, 13, 16, 25, 27, 29, 49, 64)
 # fiber tables whatever the field and s
 MAIN_CHUNK_CELLS = 1 << 17
 Q2_GRID = (3, 4, 5, 7, 8)
+CHAR2_NS = tuple(range(1, 9))  # the n of the F_(2^(2n)) families
 
 
 def _fkey(p, n=1, modulus=None):
@@ -351,11 +353,10 @@ def _eval_ell2_corollary(params):
 def _eval_monomial_grid(params):
     """F_{q^2} family x^r (x^(d(q-1)) - a)^(k m1) with a^(q+1) = 1, a^t != 1:
     the monomial predicate, the main reduction, the closed-form gcd condition
-    and the oracle must all agree."""
+    and the oracle must all agree, at every m <= min(m1 (q+1), 24)."""
     spec = _field(tuple(params["field"]))
     q = params["q"]
     d, k, r = params["d"], params["k"], params["r"]
-    mcap = params.get("mcap", 24)
     t = (q + 1) // math.gcd(d, q + 1)
     m1 = math.gcd(r, q - 1)
     q2_1 = spec.q - 1
@@ -372,7 +373,7 @@ def _eval_monomial_grid(params):
     check_square(forms[0], [dec.g_logs for dec in decs], logs[:, 0])
     for a, form, dec, rows in zip(cases, forms, decs, census.tolist()):
         mono_m = monomial_predict(form, (-a) ** (-k), -k * d)["m"]
-        for m in range(1, min(m1 * (q + 1), mcap) + 1):
+        for m in range(1, min(m1 * (q + 1), 24) + 1):
             mono = m == mono_m
             main_v = not failed_conjunct(dec, m)
             observed = fibers_verdict(rows[0][m], q2_1, m)
@@ -390,7 +391,7 @@ def _eval_hd_root_lemma(params):
     """gcd criterion vs exhaustive scan for roots of h_d(x^e) in U_ell."""
     spec = _field(tuple(params["field"]))
     base_q = params["base_q"]
-    dmax, emax = params.get("dmax", 12), params.get("emax", 12)
+    dmax, emax = params["dmax"], params["emax"]
     q1 = spec.q - 1
     tally = _Tally()
     for ell in _divisors(q1):
@@ -407,19 +408,19 @@ def _eval_hd_root_lemma(params):
 
 @evaluator("hd_family")
 def _eval_hd_family(params):
-    """The h_d towers over F_(q0^n0): gcd-formula verdicts vs brute force."""
+    """The h_d towers over F_(q0^n0): gcd-formula verdicts vs brute force,
+    at d, r <= 6 and m <= 12."""
     spec = _field(tuple(params["field"]))
     base_degree = params["base_degree"]
     q1 = spec.q - 1
     tally = _Tally()
     for s in _divisors(q1):
         ell = q1 // s
-        for d in range(1, params.get("dmax", 6) + 1):
+        for d in range(1, 7):
             for e in (1, 2, 3):
                 for t in (1, 2):
-                    for r in range(1, params.get("rmax", 6) + 1):
-                        ms = range(1, min(ell * math.gcd(r, s),
-                                          params.get("mcap", 12)) + 1)
+                    for r in range(1, 7):
+                        ms = range(1, min(ell * math.gcd(r, s), 12) + 1)
                         try:
                             rec = hd_family_predict(spec, base_degree, r, s,
                                                     d, e, t)
@@ -466,7 +467,7 @@ def _eval_lift(params):
     rng = _rng(params["seed"])
     q1 = spec.q - 1
     tally = _Tally()
-    for _ in range(params.get("draws", 30)):
+    for _ in range(params["draws"]):
         s = rng.choice(_divisors(q1))
         ell = q1 // s
         form = None
@@ -513,7 +514,7 @@ def _eval_lift(params):
 @evaluator("g3")
 def _eval_g3(params):
     spec = _field(tuple(params["field"]))
-    trinomials = params.get("trinomials", True)
+    trinomials = params["trinomials"]
     _, half = quadratic_base(spec)
     tally = _Tally()
     cs = [FieldElement(spec, ci) for ci in subfield_indices(spec, half) if ci]
@@ -574,8 +575,8 @@ def _eval_transfer_q2(params):
     cs = ([FieldElement(spec, i) for i in subfield_indices(spec, half) if i]
           if base == "f3" else [None])
     for c in cs:
-        for d in params.get("ds", (1, 3, 5, 7)):
-            for k in params.get("ks", (1, 2, 3)):
+        for d in (1, 3, 5, 7):
+            for k in (1, 2, 3):
                 try:
                     rec = transfer_families(spec, base, c=c, d=d, k=k)
                 except HypothesisError:
@@ -858,15 +859,13 @@ def _eval_criteria_batch(params):
                 if inst is None:
                     continue
                 rep = construction2_verdict(inst[0], inst[1], inst[2])
-            elif kind in ("c3v1", "c3v2"):
+            else:  # c3v1, c3v2
                 variant = int(kind[-1])
                 inst = random_construction3_model(rng, variant)
                 if inst is None:
                     continue
                 group, sq, u, m, m1 = inst  # m1 is None for variant 1
                 rep = construction3_verdict(group, sq, u, variant, m, m1)
-            else:
-                raise ValueError(f"unknown criteria kind {kind!r}")
         except HypothesisError:
             continue
         if not tally.check(rep.agree):
@@ -902,14 +901,13 @@ def paper_square_f29():
 # ---------------------------------------------------------------------------
 
 def _main_items(o, seed):
-    for q in o.get("qs", MAIN_GRID_Q):
+    for q in o["qs"]:
         fk = _field_key_for_q(q)
         for s in _divisors(q - 1):
             yield ("main_grid", {"field": fk, "s": s, "seed": seed,
-                                 "hcount": o.get("hcount", 25),
-                                 "degmax": o.get("degmax", 5),
-                                 "mcap": o.get("mcap", 16)})
-    if o.get("fixtures", True):
+                                 "hcount": o["hcount"], "degmax": o["degmax"],
+                                 "mcap": o["mcap"]})
+    if o["fixtures"]:
         yield ("main_fixture", {"field": _fkey(29), "r": 2, "s": 4,
                                 "h": "1,0,0,15,1,1", "m": 12})
         yield ("main_fixture", {"field": _fkey(2, 6, (1, 1, 0, 1, 1, 0, 1)),
@@ -917,7 +915,7 @@ def _main_items(o, seed):
 
 
 def _small_items(o, seed):
-    for q in o.get("qs", MAIN_GRID_Q):
+    for q in o["qs"]:
         fk = _field_key_for_q(q)
         for m in (2, 3):
             for s in _divisors(q - 1):
@@ -925,64 +923,62 @@ def _small_items(o, seed):
                     continue
                 yield ("small_m", {"field": fk, "s": s, "m": m,
                                    "seed": f"{seed}|small|{q}|{s}|{m}",
-                                   "hcount": o.get("hcount", 12),
-                                   "degmax": o.get("degmax", 4)})
-    for q in o.get("corollary_qs", (13, 19, 31)):
+                                   "hcount": o["hcount"],
+                                   "degmax": o["degmax"]})
+    for q in o["corollary_qs"]:
         yield ("small_m_corollary", {"field": _field_key_for_q(q)})
 
 
 def _ell_items(o, seed):
-    for q in o.get("qs", MAIN_GRID_Q):
+    for q in o["qs"]:
         fk = _field_key_for_q(q)
         for ell in (2, 3):
             if (q - 1) % ell:
                 continue
             yield ("small_ell", {"field": fk, "s": (q - 1) // ell,
                                  "seed": f"{seed}|ell|{q}|{ell}",
-                                 "hcount": o.get("hcount", 12),
-                                 "degmax": o.get("degmax", 4)})
-    for q in o.get("corollary_qs", (13, 17, 25)):
+                                 "hcount": o["hcount"],
+                                 "degmax": o["degmax"]})
+    for q in o["corollary_qs"]:
         yield ("ell2_corollary", {"field": _field_key_for_q(q)})
 
 
 def _monomial_items(o, seed):
-    for q in o.get("qs", Q2_GRID):
+    for q in o["qs"]:
         fk = _q2_field_key(q)
-        for d in range(1, o.get("dmax", q + 1) + 1):
-            for k in range(1, o.get("kmax", 4) + 1):
-                for r in range(1, o.get("rmax", 12) + 1):
+        dmax = q + 1 if o["dmax"] is None else o["dmax"]
+        for d in range(1, dmax + 1):
+            for k in range(1, o["kmax"] + 1):
+                for r in range(1, o["rmax"] + 1):
                     yield ("monomial_grid", {"field": fk, "q": q, "d": d,
                                              "k": k, "r": r})
 
 
 def _hd_items(o, seed):
-    for q in o.get("scan_qs", (4, 8, 9, 16, 25, 27, 32, 49, 64)):
+    for q in o["scan_qs"]:
         p, n, _ = _field_key_for_q(q)
         yield ("hd_root_lemma", {"field": _fkey(p, n), "base_q": p,
-                                 "dmax": o.get("dmax", 12),
-                                 "emax": o.get("emax", 12)})
-    for base_q, n0 in o.get("towers", ((3, 2), (2, 4), (5, 2), (7, 2),
-                                       (2, 6), (3, 4))):
+                                 "dmax": o["dmax"], "emax": o["emax"]})
+    for base_q, n0 in ((3, 2), (2, 4), (5, 2), (7, 2), (2, 6), (3, 4)):
         p, bd, _ = _field_key_for_q(base_q)
         yield ("hd_family", {"field": _fkey(p, bd * n0), "base_degree": bd})
 
 
 def _lift_items(o, seed):
-    for q in o.get("qs", (9, 13, 16, 25)):
+    for q in o["qs"]:
         yield ("lift", {"field": _field_key_for_q(q),
-                        "seed": f"{seed}|lift|{q}",
-                        "draws": o.get("draws", 30)})
+                        "seed": f"{seed}|lift|{q}", "draws": o["draws"]})
 
 
 def _g3_items(o, seed):
-    for n in o.get("ns", range(1, 9)):
+    for n in o["ns"]:
         yield ("g3", {"field": _fkey(2, 2 * n),
-                      "trinomials": n <= o.get("trinomial_nmax", 5)})
+                      "trinomials": n <= o["trinomial_nmax"]})
 
 
 def _quadratic_char2_items(name, o, seed):
     """One item per F_(2^(2n)), for families with no further grid."""
-    for n in o.get("ns", range(1, 9)):
+    for n in o["ns"]:
         yield (name, {"field": _fkey(2, 2 * n)})
 
 
@@ -992,12 +988,10 @@ def _transfer_items(o, seed):
 
 
 def _tower_items(o, seed):
-    fams = o.get("families", ("r1l1", "r3", "rk", "fq_r1l1", "gbar"))
-    per = o.get("draws", 500)
-    chunk = o.get("chunk", 50)
-    for q in o.get("qs", Q2_GRID):
+    per, chunk = o["draws"], o["chunk"]
+    for q in o["qs"]:
         fk = _q2_field_key(q)
-        for tf in fams:
+        for tf in o["families"]:
             if tf in ("r3", "gbar") and q % 2:
                 continue  # even-characteristic families
             for i in range((per + chunk - 1) // chunk):
@@ -1007,9 +1001,8 @@ def _tower_items(o, seed):
 
 
 def _criteria_items(o, seed):
-    per = o.get("count", 2000)
-    chunk = o.get("chunk", 250)
-    for kind in o.get("kinds", ("local", "c1", "c2", "c3v1", "c3v2")):
+    per, chunk = o["count"], o["chunk"]
+    for kind in ("local", "c1", "c2", "c3v1", "c3v2"):
         for i in range((per + chunk - 1) // chunk):
             yield ("criteria_batch", {"kind": kind,
                                       "count": min(chunk, per - i * chunk),
@@ -1017,35 +1010,78 @@ def _criteria_items(o, seed):
 
 
 def _count_items(o, seed):
-    for q in o.get("qs", (2, 3, 4, 5)):
+    for q in o["qs"]:
+        if q > ENUMERATION_MAX_Q:
+            raise ScaleError(f"enumerating {q}^{q} maps needs "
+                             f"q <= {ENUMERATION_MAX_Q}, got q = {q}")
         yield ("count", {"q": q})
 
 
-# family name -> generator of its (evaluator, params) work items, called
-# with the job's options and seed; the CLI offers exactly these families
+class Family(NamedTuple):
+    generator: Callable  # (options, seed) -> (evaluator, params) work items
+    options: dict  # key -> default; a tuple default marks a list option
+
+
+# the CLI offers exactly these families; monomial's dmax None means q + 1
 FAMILIES = {
-    "main": _main_items,
-    "small": _small_items,
-    "ell": _ell_items,
-    "monomial": _monomial_items,
-    "hd": _hd_items,
-    "lift": _lift_items,
-    "g3": _g3_items,
-    "g5": partial(_quadratic_char2_items, "g5"),
-    "split": partial(_quadratic_char2_items, "split"),
-    "lemmas": partial(_quadratic_char2_items, "lemmas"),
-    "transfer": _transfer_items,
-    "towers": _tower_items,
-    "criteria": _criteria_items,
-    "count": _count_items,
+    "main": Family(_main_items, {"qs": MAIN_GRID_Q, "hcount": 25,
+                                 "degmax": 5, "mcap": 16, "fixtures": True}),
+    "small": Family(_small_items, {"qs": MAIN_GRID_Q, "hcount": 12,
+                                   "degmax": 4, "corollary_qs": (13, 19, 31)}),
+    "ell": Family(_ell_items, {"qs": MAIN_GRID_Q, "hcount": 12, "degmax": 4,
+                               "corollary_qs": (13, 17, 25)}),
+    "monomial": Family(_monomial_items, {"qs": Q2_GRID, "dmax": None,
+                                         "kmax": 4, "rmax": 12}),
+    "hd": Family(_hd_items, {"scan_qs": (4, 8, 9, 16, 25, 27, 32, 49, 64),
+                             "dmax": 12, "emax": 12}),
+    "lift": Family(_lift_items, {"qs": (9, 13, 16, 25), "draws": 30}),
+    "g3": Family(_g3_items, {"ns": CHAR2_NS, "trinomial_nmax": 5}),
+    "g5": Family(partial(_quadratic_char2_items, "g5"), {"ns": CHAR2_NS}),
+    "split": Family(partial(_quadratic_char2_items, "split"),
+                    {"ns": CHAR2_NS}),
+    "lemmas": Family(partial(_quadratic_char2_items, "lemmas"),
+                     {"ns": CHAR2_NS}),
+    "transfer": Family(_transfer_items, {}),
+    "towers": Family(_tower_items, {
+        "qs": Q2_GRID, "families": ("r1l1", "r3", "rk", "fq_r1l1", "gbar"),
+        "draws": 500, "chunk": 50}),
+    "criteria": Family(_criteria_items, {"count": 2000, "chunk": 250}),
+    "count": Family(_count_items, {"qs": (2, 3, 4, 5)}),
 }
+
+# the least value of an option or list element: no q or n is below 1, degmax
+# < 0 would draw only h = 0, and mcap or chunk = 0 would break a work item
+FLOORS = {"qs": 1, "ns": 1, "corollary_qs": 1, "scan_qs": 1, "hcount": 0,
+          "draws": 0, "count": 0, "degmax": 0, "mcap": 1, "chunk": 1}
 
 
 def build_instances(job):
-    """Expand a VerifyJob into (evaluator, params) work items."""
+    """Expand a VerifyJob into (evaluator, params) work items, its options
+    merged over the family's defaults.  An undeclared key, a list for one
+    int or the reverse, and a value or list element of the wrong kind or
+    below its floor raise a ValueError that names the key."""
     if job.family not in FAMILIES:
         raise ValueError(f"unknown family {job.family!r}")
-    return list(FAMILIES[job.family](job.options, job.seed))
+    table = FAMILIES[job.family].options
+    for key, value in job.options.items():
+        if key not in table:
+            raise ValueError(f"{job.family} has no option {key!r}; its "
+                             f"options are: {', '.join(table) or 'none'}")
+        default, floor = table[key], FLOORS.get(key)
+        is_list = isinstance(default, tuple)
+        if is_list != isinstance(value, (tuple, list, range)):
+            want = "a list" if is_list else "one int"
+            raise ValueError(f"{key} takes {want}, got {value!r}")
+        for v in value if is_list else (value,):
+            if is_list and isinstance(default[0], str):
+                if v not in default:
+                    raise ValueError(f"{key} takes elements of "
+                                     f"{', '.join(default)}, got {v!r}")
+            elif not isinstance(v, int) or floor is not None and v < floor:
+                raise ValueError(f"{key} takes ints" + (
+                    "" if floor is None else f" >= {floor}") + f", got {v!r}")
+    options = {**table, **job.options}
+    return list(FAMILIES[job.family].generator(options, job.seed))
 
 
 def pool_size(jobs, cpus, items):

@@ -208,10 +208,14 @@ def count_formula(q, m):
     return count
 
 
+# the largest q whose q**q self-maps count_by_enumeration is asked to walk
+ENUMERATION_MAX_Q = 6
+
+
 def count_by_enumeration(q):
     """Exhaustive census over all q**q self-maps: {m: number of m-to-1 maps}.
 
-    Oracle for count_formula; practical for q <= 6 or so.
+    Oracle for count_formula; callers refuse q > ENUMERATION_MAX_Q.
     """
     totals = {m: 0 for m in range(1, q + 1)}
     for images in product(range(q), repeat=q):
