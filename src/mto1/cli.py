@@ -223,6 +223,9 @@ def cmd_search(args):
 
 def cmd_count(args):
     qs = _parse_int_list(args.q)
+    if not qs or min(qs) < 1:
+        raise ValueError(f"--q takes a nonempty list of ints >= 1, "
+                         f"got {args.q!r}")
     rows = []
     for q in qs:
         ms = [args.m] if args.m is not None else list(range(1, q + 1))

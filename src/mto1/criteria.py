@@ -15,7 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .multiplicity import FiniteMapping, check_m_to_1
+from .multiplicity import FiniteMapping, census_verdict, check_m_to_1
 
 
 class HypothesisError(ValueError):
@@ -212,7 +212,8 @@ def _fiber_size_scan(sq, m1, maps):
             raise HypothesisError(
                 f"fiber size mismatch at s={s!r}: {len(pts)} != {m1}*{down}")
         for name, mapping in maps:
-            if not check_m_to_1(mapping.restrict(pts), m1).verdict:
+            sub = mapping.restrict(pts)
+            if not census_verdict(sub.census(), len(sub), m1):
                 raise HypothesisError(
                     f"{name} is not {m1}-to-1 on lam^-1({s!r})")
     return lam_fibers
@@ -237,7 +238,7 @@ def local_criterion_check(f, psi, m):
     phi = {a: psi_t[b] for a, b in zip(f.domain, f.images)}
     classes = _fibers_of(phi, f.domain)
 
-    lhs = check_m_to_1(f, m).verdict
+    lhs = census_verdict(f.census(), size, m)
     rhs = _per_class_side(f, classes.values(), m)
     return CriterionReport(lhs, rhs, {"m": m, "classes": len(classes)})
 
@@ -248,14 +249,14 @@ def construction1_verdict(sq, m):
     """Requires fbar 1-to-1 on S.  rhs: per-fiber m-to-1 over lam(A) plus the
     exceptional-set sum identity; lhs: direct check of f."""
     fbar_map = sq.fbar_mapping()
-    if not check_m_to_1(fbar_map, 1).verdict:
+    if not census_verdict(fbar_map.census(), len(fbar_map), 1):
         raise HypothesisError("fbar is not 1-to-1 on S")
     f = sq.f_mapping()
     size = len(f)
     if not 1 <= m <= size:
         raise ValueError(f"m must be in [1, {size}], got {m}")
 
-    lhs = check_m_to_1(f, m).verdict
+    lhs = census_verdict(f.census(), size, m)
     rhs = _per_class_side(f, _fibers_of(sq.lam, sq.a_points).values(), m)
     return CriterionReport(lhs, rhs, {"m": m})
 
@@ -273,7 +274,7 @@ def construction2_verdict(sq, m1, m):
         raise HypothesisError(
             f"m must be in [1, m1*#S] = [1, {m1 * len(sq.s_points)}], got {m}")
 
-    lhs = check_m_to_1(f, m).verdict
+    lhs = census_verdict(f.census(), size, m)
 
     if m % m1:
         rhs = False
@@ -321,7 +322,8 @@ def construction3_verdict(group, sq, u, variant, m, m1=None):
                        tuple(group.op(sq.f[a], u_t[a]) for a in sq.a_points))
 
     if variant == 1:
-        if not check_m_to_1(sq.fbar_mapping(), 1).verdict:
+        fbar_map = sq.fbar_mapping()
+        if not census_verdict(fbar_map.census(), len(fbar_map), 1):
             raise HypothesisError("variant 1 needs fbar 1-to-1 on S")
         seen = {}
         for a in sq.a_points:
@@ -340,6 +342,6 @@ def construction3_verdict(group, sq, u, variant, m, m1=None):
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    lhs = check_m_to_1(fu, m).verdict
-    rhs = check_m_to_1(f_map, m).verdict
+    lhs = census_verdict(fu.census(), len(fu), m)
+    rhs = census_verdict(f_map.census(), len(f_map), m)
     return CriterionReport(lhs, rhs, {"variant": variant, "m": m})

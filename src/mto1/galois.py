@@ -550,17 +550,17 @@ def poly_eval(f, x):
     return FieldElement(x.spec, f.eval_index(x.index))
 
 
-def eval_powers(spec, coeffs, step):
-    """out[i, k] = h_i(g^(k*step)), k < q-1, as indices; row i of coeffs holds
-    h_i's coefficient indices low to high.  Terms are exp/log lookups, and
-    their sum is taken digit by digit in base p, in numpy."""
+def eval_powers(spec, coeffs, step, count=None):
+    """out[i, k] = h_i(g^(k*step)), k < count (default q-1), as indices; row i
+    of coeffs holds h_i's coefficient indices low to high.  Terms are exp/log
+    lookups, and their sum is taken digit by digit in base p, in numpy."""
     q1, p = spec.q - 1, spec.p
     exp, log = spec.arrays()
     coeffs = np.asarray(coeffs, dtype=np.int64)
     j = np.flatnonzero(coeffs.any(axis=0))  # powers with a nonzero term
     coeffs = coeffs[:, j]
-    terms = exp[(log[coeffs][..., None]
-                 + (j * step % q1)[:, None] * np.arange(q1)) % q1]
+    terms = exp[(log[coeffs][..., None] + (j * step % q1)[:, None]
+                 * np.arange(q1 if count is None else count)) % q1]
     terms[coeffs == 0] = 0  # log[0] = -1 looked up a stray entry
     if p == 2:
         return np.bitwise_xor.reduce(terms, axis=1)

@@ -37,8 +37,8 @@ from .cyclotomic import (CycloForm, check_square, conjunct_rule,
 from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
                      build_field, quadratic_base, subfield_indices)
 from .multiplicity import (ENUMERATION_MAX_Q, FiniteMapping, IndexMapping,
-                           check_m_to_1, count_by_enumeration, count_formula,
-                           fibers_verdict)
+                           census_verdict, check_m_to_1, count_by_enumeration,
+                           count_formula, fibers_verdict)
 from .unitline import (base_trace, frob_q, g3_families, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
                        line_poly_deg1, line_poly_rk, observe_towers,
@@ -830,9 +830,8 @@ def random_construction3_model(rng, variant, max_n=12):
     u = {a: rng.choice(fibers[c]) for a in A}
     fu = {a: group.op(f[a], u[a]) for a in A}
     for s in S:
-        block = blocks[s]
-        if not check_m_to_1(FiniteMapping(block, [fu[a] for a in block]),
-                            m1).verdict:
+        block = FiniteMapping(blocks[s], [fu[a] for a in blocks[s]])
+        if not census_verdict(block.census(), len(block), m1):
             return None  # this u breaks the per-fiber hypothesis; resample
     sq = CommutativeSquare(A, A, S, Sbar, f, fbar, lam, lambar)
     return group, sq, u, rng.randrange(1, m1 * ns + 1), m1
@@ -915,6 +914,9 @@ def _main_items(o, seed):
 
 
 def _small_items(o, seed):
+    for q in o["corollary_qs"]:  # the closed form raises to (q-1)/6
+        if (q - 1) % 6:
+            raise ValueError(f"corollary_qs takes q with 6 | q - 1, got {q}")
     for q in o["qs"]:
         fk = _field_key_for_q(q)
         for m in (2, 3):
@@ -930,6 +932,9 @@ def _small_items(o, seed):
 
 
 def _ell_items(o, seed):
+    for q in o["corollary_qs"]:  # the corollary is x^r (x^((q-1)/2) + a)
+        if q % 2 == 0:
+            raise ValueError(f"corollary_qs takes odd q, got {q}")
     for q in o["qs"]:
         fk = _field_key_for_q(q)
         for ell in (2, 3):

@@ -49,7 +49,7 @@ def _token(point):
 class FiniteMapping:
     """Total map on an explicit nonempty finite domain (parallel tuples)."""
 
-    __slots__ = ("domain", "images", "_fibers", "_census")
+    __slots__ = ("domain", "images", "_fibers", "_census", "_table")
 
     def __init__(self, domain, images):
         domain = tuple(domain)
@@ -62,7 +62,7 @@ class FiniteMapping:
             raise ValueError("domain points must be distinct")
         self.domain = domain
         self.images = images
-        self._fibers = self._census = None
+        self._fibers = self._census = self._table = None
 
     @classmethod
     def from_table(cls, table):
@@ -96,7 +96,7 @@ class FiniteMapping:
                      if fib[b] != m)
 
     def restrict(self, points):
-        table = self.as_table()
+        table = self._table = self._table or self.as_table()  # built once
         return FiniteMapping(tuple(points), tuple(table[a] for a in points))
 
     def compose(self, outer):

@@ -19,8 +19,8 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .cyclotomic import CycloForm, star_verdicts
-from .galois import (FieldElement, FieldError, Poly, quadratic_base,
-                     relative_trace, subfield_indices)
+from .galois import (FieldElement, FieldError, Poly, eval_powers,
+                     quadratic_base, relative_trace, subfield_indices)
 from .multiplicity import fibers_verdict, sorted_row_censuses
 
 
@@ -105,7 +105,7 @@ def rat_eval(rmap, x):
     return FieldElement(spec, spec.mul(nv, spec.inv(dv)))
 
 
-class Deg1Map:
+class Deg1Map(RationalMap):
     """(a x + b)/(c x + d) with ad != bc, acting on the projective line."""
 
     __slots__ = ("a", "b", "c", "d")
@@ -113,20 +113,9 @@ class Deg1Map:
     def __init__(self, a, b, c, d):
         if a * d == b * c:
             raise FieldError("degenerate degree-one map: ad = bc")
+        super().__init__(Poly.from_elements(a.spec, (b, a)),
+                         Poly.from_elements(a.spec, (d, c)))
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @property
-    def spec(self):
-        return self.a.spec
-
-    def __call__(self, x):
-        if x is INF:
-            return INF if self.c.is_zero else self.a / self.c
-        num = self.a * x + self.b
-        den = self.c * x + self.d
-        if den.is_zero:
-            return INF  # num != 0 since the matrix is invertible
-        return num / den
 
     def compose(self, other):
         """self after other."""
@@ -150,13 +139,6 @@ def unit_subgroup_points(field):
     q1 = field.q - 1
     step = q1 // (q + 1)
     return [field.exp_at(k * step) for k in range(q + 1)]
-
-
-def line_points(field):
-    """F_q + {INF} with F_q the subfield of F_{q^2}; elements plus INF."""
-    _, half = quadratic_base(field)
-    pts = [FieldElement(field, i) for i in subfield_indices(field, half)]
-    return pts + [INF]
 
 
 def base_trace(field, x, to_degree=1):
@@ -215,38 +197,60 @@ def deg1_unit_to_line(dmap):
     return a * conj(c) != c * conj(a)
 
 
-def _bijection_scan(fn, points, targets):
-    """Exhaustive: does fn map points bijectively onto targets?  Targets are
-    element indices, with INF standing for the point at infinity."""
+def _bijects(field, nums, dens, targets):
+    """Do the values nums[i]/dens[i], element indices at the points of a
+    scan, hit every one of targets (element indices, INF for infinity)
+    exactly once?  A den of 0 gives INF and 0/0 raises RationalEvalError; the
+    first miss or repeat, in point order, gives False."""
+    mul, inv = field.mul, field.inv
     seen = set()
-    for x in points:
-        v = fn(x)
-        key = INF if v is INF else v.index
+    for nv, dv in zip(nums, dens):
+        if dv == 0:
+            if nv == 0:
+                raise RationalEvalError("0/0 in a bijection scan")
+            key = INF
+        else:
+            key = mul(nv, inv(dv))
         if key not in targets or key in seen:
             return False
         seen.add(key)
     return len(seen) == len(targets)
 
 
-def permutes_unit_scan(fn, field):
-    """Exhaustive: does fn permute U_{q+1}?  fn takes and returns elements/INF."""
+def _values(points, *polys):
+    """Each polynomial's values at the points (indices), a list per poly."""
+    return [list(map(P.eval_index, points)) for P in polys]
+
+
+def _line_values(rmap, line):
+    """rmap's num and den values at the line's finite points, then at INF,
+    where rat_eval's degree rule gives the value."""
+    nums, dens = _values(line, rmap.num, rmap.den)
+    at_inf = rat_eval(rmap, INF)
+    if at_inf is INF:
+        return nums + [1], dens + [0]
+    return nums + [at_inf.index], dens + [1]
+
+
+def permutes_unit_scan(rmap, field):
+    """Exhaustive: does the rational map rmap permute U_{q+1}?"""
     units = unit_subgroup_points(field)
-    return _bijection_scan(fn, [FieldElement(field, i) for i in units],
-                           set(units))
+    return _bijects(field, *_values(units, rmap.num, rmap.den), set(units))
 
 
-def unit_to_line_scan(fn, field):
-    """Exhaustive: does fn map U_{q+1} bijectively onto F_q + {INF}?"""
+def unit_to_line_scan(rmap, field):
+    """Exhaustive: does rmap map U_{q+1} bijectively onto F_q + {INF}?"""
     _, half = quadratic_base(field)
-    line = set(subfield_indices(field, half)) | {INF}
-    return _bijection_scan(
-        fn, [FieldElement(field, i) for i in unit_subgroup_points(field)], line)
+    units = unit_subgroup_points(field)
+    return _bijects(field, *_values(units, rmap.num, rmap.den),
+                    set(subfield_indices(field, half)) | {INF})
 
 
-def line_to_unit_scan(fn, field):
-    """Exhaustive: does fn map F_q + {INF} bijectively onto U_{q+1}?"""
-    return _bijection_scan(fn, line_points(field),
-                           set(unit_subgroup_points(field)))
+def line_to_unit_scan(rmap, field):
+    """Exhaustive: does rmap map F_q + {INF} bijectively onto U_{q+1}?"""
+    _, half = quadratic_base(field)
+    return _bijects(field, *_line_values(rmap, subfield_indices(field, half)),
+                    set(unit_subgroup_points(field)))
 
 
 # -- the a + 1/a split in characteristic 2 ---------------------------------------
@@ -293,30 +297,10 @@ def halfplane_split(field):
 
 # -- section-style rational families: 3-to-1 ------------------------------------
 #
-# All g3/g5 fields have characteristic 2, where adding indices is XOR: the
-# families below evaluate their polynomials on U_{q+1} as index arrays, one
-# row per polynomial, and read every verdict from one census per row.
-
-def _unit_logs(field):
-    """The dlogs k*(q-1) of the points of U_{q+1}, k = 0..q, as int32."""
-    q, _ = quadratic_base(field)
-    return np.arange(q + 1, dtype=np.int32) * (q - 1)
-
-
-def _unit_values(field, coeffs):
-    """out[i, k] = h_i(u_k) for the points u_k of U_{q+1} in dlog order
-    (characteristic 2); row i of coeffs holds h_i's coefficient indices low
-    to high.  Each term is an exp/log lookup, and terms add by XOR."""
-    q, _ = quadratic_base(field)
-    exp, log = field.arrays()
-    coeffs = np.asarray(coeffs)
-    units = _unit_logs(field)
-    out = np.zeros((len(coeffs), q + 1), dtype=exp.dtype)
-    for j, col in enumerate(coeffs.T):
-        term = exp[(log[col][:, None] + j * units) % (field.q - 1)]
-        out ^= np.where(col[:, None] == 0, 0, term)
-    return out
-
+# The families below evaluate their polynomials on U_{q+1} as index arrays
+# through eval_powers, one row per polynomial, and read every verdict from one
+# census per row.  These values meet only closed-form predictions (traces,
+# n mod 4), never another eval_powers result.
 
 def _quotient_codes(field, num, den):
     """num/den as value codes, element indices with field.q for INF, from
@@ -361,8 +345,8 @@ def g3_families(field, cs, trinomials=True):
             raise HypothesisError("c must lie in the base field F_q")
     ci = np.array([c.index for c in cs])
     one, zero = np.ones_like(ci), np.zeros_like(ci)
-    den = _unit_values(field, np.stack([ci, one, zero, one], axis=1))
-    num = _unit_values(field, np.stack([one, zero, one, ci], axis=1))
+    den, num = (eval_powers(field, np.stack(cols, axis=1), q - 1, q + 1)
+                for cols in ((ci, one, zero, one), (one, zero, one, ci)))
     for c, row in zip(cs, den):
         if not row.all():
             raise HypothesisError(
@@ -377,7 +361,8 @@ def g3_families(field, cs, trinomials=True):
                      q + 1, g_m)
     if n % 2 == 0:
         # companion g1 = x * (x^3+x+c)^((q-1)/3); 1-to-1 iff Tr(1/c)=0
-        g1_logs = (_unit_logs(field) + (q - 1) // 3 * log[den]) % (field.q - 1)
+        g1_logs = ((np.arange(q + 1) * (q - 1) + (q - 1) // 3 * log[den])
+                   % (field.q - 1))
         g1_m = np.where(tr_inv == 0, 1, 3)
         g1_ok = _verdicts(sorted_row_censuses(g1_logs), q + 1, g1_m)
     if trinomials:
@@ -426,8 +411,10 @@ def quartic_rootless_lemma(field):
     """x^4 + x + 1 and x^4 + x^3 + 1 have no roots in U_{q+1} (char 2)."""
     if field.p != 2:
         raise HypothesisError("lemma lives in characteristic 2")
-    return bool(_unit_values(field, [(1, 1, 0, 0, 1),    # x^4 + x + 1
-                                     (1, 0, 0, 1, 1)]).all())  # x^4 + x^3 + 1
+    q, _ = quadratic_base(field)
+    return bool(eval_powers(field, [(1, 1, 0, 0, 1),    # x^4 + x + 1
+                                    (1, 0, 0, 1, 1)],   # x^4 + x^3 + 1
+                            q - 1, q + 1).all())
 
 
 def g_permutation_lemma(field):
@@ -454,7 +441,7 @@ def g5_family(field):
     num = Poly(field, (1, 1, 0, 0, 1))       # x^4 + x + 1
     den = Poly(field, (0, 1, 0, 0, 1, 1))    # x^5 + x^4 + x
     predicted_m = 5 if n % 4 == 2 else 1
-    values = _unit_values(field, [num.coeffs + (0,), den.coeffs])
+    values = eval_powers(field, [num.coeffs + (0,), den.coeffs], q - 1, q + 1)
     census = sorted_row_censuses(
         _quotient_codes(field, values[:1], values[1:]))
     record = {"q": q, "n": n, "g_predicted_m": predicted_m,
@@ -530,17 +517,13 @@ def transfer_families(field, base, c=None, d=3, k=1):
 
 # -- tower constructions ----------------------------------------------------------
 
-def _pair_identity_scan(field, L, M, eps, t):
-    """L(x) = eps * x^t * M(x)^q for all x in U_{q+1}?"""
+def _pair_identity_scan(field, units, lvals, mvals, eps, t):
+    """L(x) = eps * x^t * M(x)^q for all x in U_{q+1}?  lvals and mvals hold
+    L and M at the points units."""
     _, half = quadratic_base(field)
-    for i in unit_subgroup_points(field):
-        lhs = L.eval_index(i)
-        rhs = field.mul(eps.index,
-                        field.mul(field.pow(i, t),
-                                  field.frob(M.eval_index(i), half)))
-        if lhs != rhs:
-            return False
-    return True
+    mul, pow_, frob = field.mul, field.pow, field.frob
+    return all(lv == mul(eps.index, mul(pow_(i, t), frob(mv, half)))
+               for i, lv, mv in zip(units, lvals, mvals))
 
 
 def _clear_denominators(N, L, M, u=None):
@@ -603,25 +586,27 @@ def observe_towers(records):
 def _line_tower_failure(field, half, pair, N):
     """The hypothesis scans shared by the towers through F_q + {INF}: deg N,
     t, the L/M pair identity and both bijections.  Returns the first failure
-    string, or None when every scan passes."""
+    string, or None when every scan passes.  L and M are evaluated once on
+    U, N and N^(q) once on the line."""
     L, M, eps, t = pair
     if N.degree < 1:
         return "deg N < 1"
     if t < max(L.degree, M.degree):
         return "t < max(deg L, deg M)"
+    units, line = unit_subgroup_points(field), subfield_indices(field, half)
+    lv, mv = _values(units, L, M)
     # both polynomials must satisfy P = eps x^t P^q on U, with the same eps, t
-    for name, P in (("L", L), ("M", M)):
-        if not _pair_identity_scan(field, P, P, eps, t):
+    for name, vals in (("L", lv), ("M", mv)):
+        if not _pair_identity_scan(field, units, vals, vals, eps, t):
             return f"{name} != eps x^t {name}^q on U"
-    lm = RationalMap(L, M)
     try:
-        if not unit_to_line_scan(lm, field):
+        if not _bijects(field, lv, mv, set(line) | {INF}):
             return "L/M is not a bijection U -> line"
     except RationalEvalError:
         return "L/M hits 0/0 on U"
     nq = RationalMap(N.frobenius(half), N)
     try:
-        if not line_to_unit_scan(nq, field):
+        if not _bijects(field, *_line_values(nq, line), set(units)):
             return "N^(q)/N is not a bijection line -> U"
     except RationalEvalError:
         return "N^(q)/N hits 0/0 on the line"
@@ -645,14 +630,16 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     m1 = math.gcd(r, q - 1)
     params = {"n": n, "r": r, "m": m, "m1": m1}
 
+    units = unit_subgroup_points(field)
     for name, (L, M, eps, t) in (("inner", inner), ("outer", outer)):
         if t < M.degree:
             return _tower_record(params, f"{name}: t < deg M")
-        if any(M.eval_index(i) == 0 for i in unit_subgroup_points(field)):
+        lv, mv = _values(units, L, M)
+        if not all(mv):
             return _tower_record(params, f"{name}: M has roots in U")
-        if not _pair_identity_scan(field, L, M, eps, t):
+        if not _pair_identity_scan(field, units, lv, mv, eps, t):
             return _tower_record(params, f"{name}: L != eps x^t M^q on U")
-        if not permutes_unit_scan(RationalMap(L, M), field):
+        if not _bijects(field, lv, mv, set(units)):
             return _tower_record(params, f"{name}: L/M does not permute U")
     if (r // m1) % (q + 1) != (n * t1 * t2) % (q + 1):
         return _tower_record(params, "congruence r/m1 = n t1 t2 mod q+1")

@@ -133,6 +133,14 @@ def test_count_cli(capsys):
     assert "q=3 m=2 count=18" in out
 
 
+@pytest.mark.parametrize("qs", ["0", "-2", "3..1"])
+def test_count_refuses_an_empty_or_nonpositive_q_list(capsys, qs):
+    # a list with no q >= 1 gives no rows: nothing would be counted
+    code, out, err = run_cli(capsys, "count", "--q", qs, "--json")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert "--q" in err and qs in err
+
+
 def test_verify_exit_zero_and_summary(capsys):
     code, out, _ = run_cli(capsys, "verify", "count", "--q", "2..4")
     assert code == 0
@@ -328,6 +336,10 @@ REPORT_PINS = {
         "3f4a036173d0e601410085e9417380f2348034f7cf270aeadad7ac8797a467d7",
     ("towers", "--q", "3,4", "--draws", "50"):
         "bf6950b802de99ca2816e7288a9d4315faaa0cde5f4b43e8588c2f6f55a112ac",
+    ("split",):
+        "6043a71b22e9a7f74fee1159d69229f03a1beffc0c6a7e81acc7e623f38fd4d7",
+    ("towers", "--q", "5,7,8", "--draws", "50"):
+        "5533f4ba3953a32503954426a5fadbc56b81e0db8efe72b0ccfa41f3f3136587",
 }
 
 

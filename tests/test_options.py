@@ -67,6 +67,19 @@ def test_undeclared_keys_and_elements_below_1_exit_2(capsys, monkeypatch,
     assert key in err and "work item" not in err
 
 
+# the small corollary's closed form needs 6 | q - 1 and the ell corollary
+# odd q; at any other q the corollary states nothing to check
+@pytest.mark.parametrize("family, q", [("small", 4), ("small", 5),
+                                       ("small", 8), ("small", 16),
+                                       ("small", 64), ("ell", 4), ("ell", 8)])
+def test_corollary_qs_outside_the_theorem_exit_2(capsys, monkeypatch,
+                                                 family, q):
+    code, report, err = _verify(capsys, monkeypatch, family, "--q", "7",
+                                "--hcount", "1", "--grid", f"corollary_qs={q}")
+    assert code == cli.EXIT_PARSE and report is None
+    assert "corollary_qs" in err and str(q) in err and "work item" not in err
+
+
 @pytest.mark.parametrize("family, options", [
     ("towers", {"chunk": 0}),
     ("criteria", {"chunk": 0}),

@@ -8,14 +8,15 @@ import pytest
 
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import CycloForm, brute_verdict_star, main_predict
-from mto1.galois import FieldElement, Poly, build_field, subfield_indices
+from mto1.galois import (FieldElement, Poly, build_field, eval_powers,
+                         subfield_indices)
 from mto1.multiplicity import FiniteMapping, admissible_m_set, check_m_to_1
 from mto1.unitline import (INF, Deg1Map, RationalEvalError, RationalMap,
-                           _tower_outcome, base_trace, deg1_permutes_unit,
+                           _bijects, _tower_outcome, base_trace, deg1_permutes_unit,
                            deg1_unit_to_line, frob_q, g3_families, g3_family,
                            g5_family, g_permutation_lemma, halfplane_split,
-                           line_pair_deg1, line_poly_deg1, observe_towers,
-                           permutes_unit_scan,
+                           line_pair_deg1, line_poly_deg1, line_to_unit_scan,
+                           observe_towers, permutes_unit_scan,
                            quartic_rootless_lemma, rat_eval,
                            tower_gbar_predict, tower_line_predict,
                            tower_unit_predict, transfer_families,
@@ -168,6 +169,76 @@ def test_deg1_unit_to_line_random_f64():
         assert deg1_unit_to_line(m)
         assert unit_to_line_scan(m, spec)
         hits += 1
+
+
+def _deg1_reference(a, b, c, d, x):
+    """(a x + b)/(c x + d) on the projective line, by the closed formula: INF
+    goes to INF if c = 0 and to a/c otherwise, a zero of c x + d goes to INF,
+    and any other x to (a x + b)/(c x + d)."""
+    if x is INF:
+        return INF if c.is_zero else a / c
+    den = c * x + d
+    return INF if den.is_zero else (a * x + b) / den
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 4)])
+def test_deg1_map_is_the_closed_formula_everywhere(p, n):
+    # Deg1Map evaluates through rat_eval, as every rational map does
+    spec = build_field(p, n)
+    points = spec.elements() + [INF]
+    for a, b, c, d in itertools.product(spec.elements(), repeat=4):
+        if a * d == b * c:
+            continue
+        m = Deg1Map(a, b, c, d)
+        for x in points:
+            assert m(x) == _deg1_reference(a, b, c, d, x)
+
+
+def test_bijection_scan_stops_at_the_first_miss_or_0_over_0():
+    # in point order, a miss before a 0/0 gives False and a 0/0 first raises
+    spec = build_field(2, 4)
+    units = unit_subgroup_points(spec)
+    g = spec.generator()  # g^5 != 1, so g lies outside U_5
+    assert units[0] == 1
+    late = Poly.from_elements(spec, (spec.from_index(units[2]), spec.one))
+    first = Poly.from_elements(spec, (spec.one, spec.one))  # x + 1
+    for scan in (permutes_unit_scan, unit_to_line_scan):
+        # value g at units[0], 0/0 at units[2]
+        assert not scan(RationalMap(late.scale(g), late), spec)
+        with pytest.raises(RationalEvalError):  # 0/0 at units[0] = 1
+            scan(RationalMap(first * Poly.x(spec), first), spec)
+    targets = set(units)
+    assert not _bijects(spec, [0, 0], [1, 0], targets)  # 0 misses U first
+    with pytest.raises(RationalEvalError):
+        _bijects(spec, [0, 0], [0, 1], targets)
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (2, 4), (5, 2)])
+def test_line_poly_deg1_bijects_the_line_onto_u_iff_ratios_differ(p, n):
+    # N^(q)/N for N = alpha x + beta, its value at INF (alpha^(q-1)) read
+    # last; when alpha^(q-1) = beta^(q-1), N has a root in F_q, which is 0/0,
+    # and N^(q)/N is constant on the rest of F_q, which repeats
+    spec = build_field(p, n)
+    q, half = p ** (n // 2), n // 2
+    for ai, bi in itertools.product(range(1, spec.q), repeat=2):
+        N = line_poly_deg1(spec, spec.from_index(ai), spec.from_index(bi))
+        try:
+            ok = line_to_unit_scan(RationalMap(N.frobenius(half), N), spec)
+        except RationalEvalError:
+            ok = False
+        assert ok == (spec.pow(ai, q - 1) != spec.pow(bi, q - 1))
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (5, 2), (3, 4)])
+def test_eval_powers_count_takes_the_first_columns(p, n):
+    spec = build_field(p, n)
+    rng = random.Random(f"count-{p}-{n}")
+    for step in (1, 2, (spec.q - 1) // (p ** (n // 2) + 1)):
+        coeffs = [[rng.randrange(spec.q) for _ in range(5)] for _ in range(4)]
+        full = eval_powers(spec, coeffs, step)
+        for count in (1, 7, p ** (n // 2) + 1, spec.q - 1):
+            assert (eval_powers(spec, coeffs, step, count)
+                    == full[:, :count]).all()
 
 
 def test_halfplane_split_n2():
