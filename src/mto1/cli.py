@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import sys
 
@@ -36,15 +37,17 @@ EXIT_VACUOUS = 5
 EXIT_CRASH = 6
 
 
-def _parse_int_list(text):
+def _parse_int_list(text, flag):
+    """Ints from a comma list of 'a' and 'a..b' items (a..b is empty when
+    b < a); an empty item or a non-int is a ValueError naming flag."""
     out = []
     for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+        lo, dots, hi = part.strip().partition("..")
+        try:
+            out.extend(range(int(lo), int(hi if dots else lo) + 1))
+        except ValueError:
+            raise ValueError(f"{flag} {text!r}: {part.strip()!r} is not an "
+                             f"int or a range a..b") from None
     return out
 
 
@@ -58,11 +61,7 @@ def _parse_grid(text, table):
         if not pair.strip():
             continue
         key, _, value = (part.strip() for part in pair.partition("="))
-        try:
-            values = tuple(_parse_int_list(value))
-        except ValueError:
-            raise ValueError(f"--grid {key}={value}: not an int, int list "
-                             f"or range") from None
+        values = tuple(_parse_int_list(value, f"--grid {key}"))
         if not isinstance(table.get(key, ()), tuple):
             if len(values) > 1:
                 raise ValueError(f"--grid cannot give {key}={value}: {key} "
@@ -82,8 +81,12 @@ def _pick(positional, flagged, what):
 
 
 def _emit(payload, args):
-    """Write the payload as JSON to --out, and print it under --json."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
+    """Write the payload as JSON to --out, and print it under --json; the
+    indent encoder's chunks, a string per token, are joined in batches."""
+    chunks = json.JSONEncoder(indent=2, sort_keys=True,
+                              default=str).iterencode(payload)
+    text = "".join(iter(lambda: "".join(itertools.islice(chunks, 1 << 14)),
+                        ""))
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -134,9 +137,9 @@ def _verify_options(args):
     table = FAMILIES[args.family].options
     opts = {}
     if args.q is not None:
-        opts["qs"] = tuple(_parse_int_list(args.q))
+        opts["qs"] = tuple(_parse_int_list(args.q, "--q"))
     if args.n is not None:
-        opts["ns"] = tuple(_parse_int_list(args.n))
+        opts["ns"] = tuple(_parse_int_list(args.n, "--n"))
     for key in ("hcount", "draws", "count"):
         if getattr(args, key) is not None:
             opts[key] = getattr(args, key)
@@ -205,7 +208,9 @@ def _write_csv(report, path):
 
 def cmd_search(args):
     spec = parse_field(args.field)
-    r_values = _parse_int_list(args.r) if args.r else None
+    r_values = None if args.r is None else _parse_int_list(args.r, "--r")
+    if r_values == []:  # not "every r", and not a search of nothing
+        raise ValueError(f"--r {args.r!r} names no r")
     hits = search_forms(spec, args.s, args.deg, args.m, r_values=r_values,
                         budget=args.budget)
     payload = {"field": args.field, "s": args.s, "deg": args.deg, "m": args.m,
@@ -222,7 +227,7 @@ def cmd_search(args):
 
 
 def cmd_count(args):
-    qs = _parse_int_list(args.q)
+    qs = _parse_int_list(args.q, "--q")
     if not qs or min(qs) < 1:
         raise ValueError(f"--q takes a nonempty list of ints >= 1, "
                          f"got {args.q!r}")

@@ -1063,8 +1063,8 @@ FLOORS = {"qs": 1, "ns": 1, "corollary_qs": 1, "scan_qs": 1, "hcount": 0,
 def build_instances(job):
     """Expand a VerifyJob into (evaluator, params) work items, its options
     merged over the family's defaults.  An undeclared key, a list for one
-    int or the reverse, and a value or list element of the wrong kind or
-    below its floor raise a ValueError that names the key."""
+    int or the reverse, a value of the wrong kind or below its floor, or an
+    empty list while other items run raise a ValueError naming the key."""
     if job.family not in FAMILIES:
         raise ValueError(f"unknown family {job.family!r}")
     table = FAMILIES[job.family].options
@@ -1085,8 +1085,13 @@ def build_instances(job):
             elif not isinstance(v, int) or floor is not None and v < floor:
                 raise ValueError(f"{key} takes ints" + (
                     "" if floor is None else f" >= {floor}") + f", got {v!r}")
-    options = {**table, **job.options}
-    return list(FAMILIES[job.family].generator(options, job.seed))
+    items = list(FAMILIES[job.family].generator({**table, **job.options},
+                                                job.seed))
+    empty = [key for key, value in job.options.items()
+             if isinstance(table[key], tuple) and not value]
+    if empty and items:  # with no items the run is vacuous and says so
+        raise ValueError(f"{empty[0]} is empty, yet {len(items)} items run")
+    return items
 
 
 def pool_size(jobs, cpus, items):

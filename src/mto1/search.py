@@ -3,15 +3,18 @@
 The space is h = 1 + c1 x + ... + cD x^D (constant term normalized to 1:
 scaling h by a nonzero constant composes f with a permutation and cannot
 change any verdict, and an h with h(0) = 0 is a smaller-degree form with a
-bigger r).  Candidates are enumerated lexicographically, filtered for
-rootlessness on U_ell, pushed through the subgroup prediction for every
-admissible r, and every hit is re-verified by brute force before it is
-reported: cyclotomic.star_censuses evaluates f over all of F_q^* from h's
-coefficients, independently of the kernel, and finds any root of h on U_ell.
+bigger r).  As x^r h(w^s x^s) = w^-r f(w x), one h per orbit of
+h -> h(zeta x), zeta in U_ell, is filtered for rootlessness on U_ell and
+pushed through the subgroup prediction for every admissible r; each hit is
+expanded through its orbit, and every expanded hit is re-verified by brute
+force before it is reported: cyclotomic.star_censuses evaluates f over all
+of F_q^* from h's coefficients, independently of the kernel, and finds any
+root of h on U_ell.  Completeness rests on the symmetry; no hit does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .cyclotomic import star_censuses
-from .galois import Poly
+from .galois import Poly, format_element
 from .multiplicity import fibers_verdict
 
 
@@ -77,13 +80,16 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     rs = admissible_r_values(q, s, m, r_values)
     if not rs:
         return []
-    found = sorted(_kernel(spec, s, deg, rs))
+    found = _kernel(spec, s, deg, rs)
+    # str(Poly)'s token for each element index, made once per query
+    tokens = [format_element(spec.from_index(i))
+              for i in range(q if found else 0)]
     rows = max(1, CHUNK_CELLS // (q - 1))
     hits = []
     for lo in range(0, len(found), rows):
         chunk = [(Poly(spec, coeffs), r) for coeffs, r in found[lo:lo + rows]]
-        hits += [{"r": r, "h": str(h), "m": m, "m1": math.gcd(r, s),
-                  "verified": ok}
+        hits += [{"r": r, "h": ",".join([tokens[c] for c in h.coeffs]), "m": m,
+                  "m1": math.gcd(r, s), "verified": ok}
                  for (h, r), ok in zip(chunk, _reverify(spec, s, m, chunk))]
     return hits
 
@@ -100,17 +106,41 @@ def _reverify(spec, s, m, found):
     return fibers_verdict(census[:, 0, m], spec.q - 1, m).tolist()
 
 
+def _representatives(q, s, deg, rows, exp):
+    """Rows (c1, ..., cD), at most rows per chunk, meeting every orbit: h = 1,
+    then per leading index i0, c1..c(i0-1) = 0, c_i0 = g^a, a < s*gcd(i0,ell)
+    (rotating by g^(s*t) adds i0*s*t to log c_i0, a multiple of that mod
+    q-1), and the later c free.  An orbit whose stabiliser is smaller than
+    gcd(i0, ell) is met more than once."""
+    ell = (q - 1) // s
+    yield np.zeros((1, deg), dtype=np.int64)
+    for i0 in range(1, deg + 1):
+        lead = s * math.gcd(i0, ell)
+        qpow = q ** np.arange(deg - i0, dtype=np.int64)
+        total = lead * q ** (deg - i0)
+        for lo in range(0, total, rows):
+            ks = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+            coeffs = np.zeros((len(ks), deg), dtype=np.int64)
+            coeffs[:, i0 - 1] = exp[ks % lead]
+            coeffs[:, i0:] = ks[:, None] // lead // qpow % q
+            yield coeffs
+
+
 def _kernel(spec, s, deg, rs):
-    """(coeffs, r) for every candidate h rootless on U_ell whose
+    """Sorted (coeffs, r) for every h rootless on U_ell whose
     g = x^r1 h(x)^s1 has exactly ell - ell % m2 points of U_ell in fibers of
     size m2, for each admissible (r, m1, m2).
 
-    Candidate k has coefficient i = digit i-1 of k in base q.  Each term
-    c * u_j^i is an exp/log lookup; terms are summed as base-p digit vectors
-    mod p and recombined with the place values, so one path serves prime and
-    extension fields.  g(u_j) lies in U_(ell*m1) at position
-    (r*j + log h(u_j)) mod ell*m1, and one bincount over those positions,
-    offset per row, gives every point's fiber size.
+    Only the _representatives are scanned: h(g^(s*t) x) is h(u_(j+t)) at
+    u_j, so each key below moves by -r*t and the check holds on a whole
+    orbit or nowhere.  Hits are expanded through the ell rotations
+    c_i -> c_i * g^(i*s*t), then deduped and sorted by one np.unique.
+
+    Each term c * u_j^i is an exp/log lookup; terms are summed as base-p
+    digit vectors mod p and recombined with the place values, so one path
+    serves prime and extension fields.  g(u_j) lies in U_(ell*m1) at
+    position (r*j + log h(u_j)) mod ell*m1, and one bincount over those
+    positions, offset per row, gives every point's fiber size.
     """
     p, n, q = spec.p, spec.n, spec.q
     q1 = q - 1
@@ -120,16 +150,13 @@ def _kernel(spec, s, deg, rs):
     place = p ** np.arange(n, dtype=np.int64)
     dtype = np.min_scalar_type(2 * p - 2)  # one digit sum before the mod
     digits = (np.arange(q)[:, None] // place % p).astype(dtype)
-    qpow = q ** np.arange(deg, dtype=np.int64)
     j = np.arange(ell, dtype=np.int64)
-    unit_logs = [i * s * j % q1 for i in range(deg + 1)]  # log u_j^i
+    unit_logs = np.arange(deg + 1)[:, None] * s * j % q1  # log u_j^i
+    kq = q ** np.arange(deg, -1, -1, dtype=np.int64)  # base q: c1..cD, r
     rows = max(1, CHUNK_CELLS // (ell * max(m1 for _, m1, _ in rs)))
-    total = q ** deg
-    out = []
-    for lo in range(0, total, rows):
-        ks = np.arange(lo, min(lo + rows, total), dtype=np.int64)
-        coeffs = ks[:, None] // qpow % q
-        acc = np.zeros((len(ks), ell, n), dtype=dtype)
+    keys = [np.zeros(0, dtype=np.int64)]
+    for coeffs in _representatives(q, s, deg, rows, exp):
+        acc = np.zeros((len(coeffs), ell, n), dtype=dtype)
         acc[:, :, 0] = 1  # the constant term
         for i in range(1, deg + 1):
             c = coeffs[:, i - 1]
@@ -144,6 +171,9 @@ def _kernel(spec, s, deg, rs):
             span = ell * m1
             key = (r * j + hl) % span + span * np.arange(len(hl))[:, None]
             sizes = np.bincount(key.ravel())[key]
-            good = (sizes == m2).sum(axis=1) == ell - ell % m2
-            out.extend(((1, *c), r) for c in coeffs[good].tolist())
-    return out
+            hit = coeffs[(sizes == m2).sum(axis=1) == ell - ell % m2]
+            turned = np.where(hit[:, None] > 0,
+                              exp[log[hit][:, None] + unit_logs[1:].T], 0)
+            keys.append((turned @ kq[:-1]).ravel() + r)
+    found = (np.unique(np.concatenate(keys))[:, None] // kq % q).T.tolist()
+    return list(zip(zip(itertools.repeat(1), *found[:-1]), found[-1]))

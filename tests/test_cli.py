@@ -92,9 +92,14 @@ def test_search_out_of_range_m_is_empty(capsys):
     ("--s", "4", "--deg", "1", "--m", "3", "--r", "13"),
     ("--s", "4", "--deg", "1", "--m", "3", "--r", "2,99"),
     ("--s", "4", "--deg", "1", "--m", "3", "--r", "1,1"),
+    ("--s", "4", "--deg", "2", "--m", "3", "--r", "5..3"),
+    ("--s", "4", "--deg", "2", "--m", "3", "--r", "1,,2"),
+    ("--s", "4", "--deg", "2", "--m", "3", "--r", ""),
 ])
 def test_search_rejects_out_of_range_inputs_exit_2(capsys, extra):
-    # s >= 1 dividing q-1, deg >= 0, m >= 1 and every r in [1, q-1]
+    # s >= 1 dividing q-1, deg >= 0, m >= 1 and every r in [1, q-1]; a
+    # reversed range, an empty item or an empty list is not read as no r or
+    # as every r
     code, out, err = run_cli(capsys, "search", "13^1", *extra)
     assert code == 2
     assert out == "" and err.startswith("error: ")
@@ -139,6 +144,26 @@ def test_count_refuses_an_empty_or_nonpositive_q_list(capsys, qs):
     code, out, err = run_cli(capsys, "count", "--q", qs, "--json")
     assert code == cli.EXIT_PARSE and out == ""
     assert "--q" in err and qs in err
+
+
+@pytest.mark.parametrize("argv, named", [
+    (("main", "--q", "7..5"), "qs is empty"),
+    (("main", "--grid", "qs=7..5"), "qs is empty"),
+    (("small", "--grid", "corollary_qs=7..5"), "corollary_qs is empty"),
+    (("main", "--q", "5,,7"), "--q '5,,7'"),
+    (("main", "--q", ""), "--q ''"),
+    (("g3", "--n", "1..2,"), "--n '1..2,'"),
+    (("main", "--grid", "qs=5;fixtures="), "--grid fixtures ''"),
+])
+def test_verify_refuses_an_empty_item_or_list_exit_2(capsys, argv, named):
+    # an empty item is a parse error, and a list left empty (a reversed
+    # range) while other items still run is refused before any item runs:
+    # it is never read as a grid of only the fixtures; a list whose emptiness
+    # leaves nothing to run is vacuous instead (test_vacuous_verify_exit_5)
+    code, out, err = run_cli(capsys, "verify", *argv, "--hcount", "2",
+                             "--jobs", "1")
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and named in err
 
 
 def test_verify_exit_zero_and_summary(capsys):

@@ -1,12 +1,14 @@
 """Form search: hit correctness, completeness, budget and memory contract."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
+from mto1 import search
 from mto1.criteria import HypothesisError
-from mto1.cyclotomic import CycloForm, brute_verdict_star
+from mto1.cyclotomic import CycloForm, brute_verdict_star, star_censuses
 from mto1.galois import Poly, build_field
 from mto1.search import BudgetError, admissible_r_values, search_forms
 
@@ -23,9 +25,14 @@ def test_search_small_all_hits_verified():
 
 @pytest.mark.parametrize("field, s, deg, m", [
     ((7,), 2, 2, 2), ((13,), 4, 2, 3), ((2, 4), 5, 2, 3), ((5, 2), 4, 2, 2),
-], ids=["F7", "F13", "F16", "F25"])
+    ((3, 2), 2, 3, 2), ((13,), 2, 3, 2), ((3, 2), 1, 3, 2), ((7,), 6, 3, 2),
+], ids=["F7", "F13", "F16", "F25", "F9-ell4", "F13-ell6", "F9-s1",
+        "F7-ell1"])
 def test_search_completeness_against_plain_enumeration(field, s, deg, m):
-    # every (r, h) the search reports, and nothing else, is m-to-1
+    # every (r, h) the search reports, and nothing else, is m-to-1; the
+    # search scans one h per U_ell orbit, so these cases take orbits with
+    # nontrivial stabilisers (ell = 4, 6), the full group F_q^* (s = 1) and
+    # the trivial group (ell = 1)
     spec = build_field(*field)
     hits = search_forms(spec, s, deg, m)
     hit_set = {(h["r"], h["h"]) for h in hits}
@@ -40,6 +47,56 @@ def test_search_completeness_against_plain_enumeration(field, s, deg, m):
         except HypothesisError:
             continue
     assert hit_set == brute
+
+
+def _rotated(spec, h, z):
+    """h(z x) for the element index z."""
+    return Poly(spec, [spec.mul(c, spec.pow(z, i))
+                       for i, c in enumerate(h.coeffs)])
+
+
+@pytest.mark.parametrize("field, s, deg", [
+    ((13,), 2, 3), ((2, 4), 3, 3), ((5, 2), 4, 2), ((3, 3), 2, 3),
+], ids=["F13", "F16", "F25", "F27"])
+def test_rotation_keeps_every_census_through_the_oracle(field, s, deg):
+    # for zeta in U_ell, x^r h(zeta x^s) = w^-r f(w x) with w^s = zeta:
+    # the oracle alone must see the same fibers for h(x) and h(zeta x)
+    spec = build_field(*field)
+    q, ell = spec.q, (spec.q - 1) // s
+    rng = random.Random(q)
+    drawn = 0
+    while drawn < 5:
+        h = Poly(spec, [1] + [rng.randrange(q) for _ in range(deg)])
+        turns = [_rotated(spec, h, spec.exp_at(s * t)) for t in range(ell)]
+        try:
+            census = star_censuses(spec, s, turns, list(range(1, q)))[1]
+        except HypothesisError:
+            continue
+        drawn += 1
+        assert (census == census[0]).all()
+
+
+def test_a_hit_with_a_nontrivial_stabiliser_appears_once():
+    # over F_9 with s = 2, ell = 4 and -1 in U_4 fixes h = 1 + c x^2: the
+    # representatives meet its orbit {1 + g x^2, 1 + g^5 x^2} twice, and
+    # the expansion reports each of its hits once
+    spec = build_field(3, 2)
+    pairs = [(hit["r"], hit["h"]) for hit in search_forms(spec, 2, 2, 2)]
+    assert len(pairs) == len(set(pairs))
+    rs = {r for r, h in pairs if h == "1,0,g^1"}
+    assert rs and rs == {r for r, h in pairs if h == "1,0,g^5"}
+
+
+def test_hit_strings_are_str_poly():
+    # the hit strings come from one token per element index; they must be
+    # str(Poly) of the kernel's hits, in the kernel's order
+    spec = build_field(5, 2)
+    hits = search_forms(spec, 4, 2, 2)
+    found = sorted(search._kernel(spec, 4, 2,
+                                  admissible_r_values(spec.q, 4, 2)))
+    assert [(h["h"], h["r"]) for h in hits] == [
+        (str(Poly(spec, coeffs)), r) for coeffs, r in found]
+    assert any("g^" in h["h"] for h in hits)
 
 
 def test_search_extension_field_generic_path():
