@@ -82,7 +82,10 @@ def _pick(positional, flagged, what):
 
 def _emit(payload, args):
     """Write the payload as JSON to --out, and print it under --json; the
-    indent encoder's chunks, a string per token, are joined in batches."""
+    indent encoder's chunks, a string per token, are joined in batches.
+    Without either flag nothing is encoded."""
+    if not (args.json or args.out):
+        return
     chunks = json.JSONEncoder(indent=2, sort_keys=True,
                               default=str).iterencode(payload)
     text = "".join(iter(lambda: "".join(itertools.islice(chunks, 1 << 14)),

@@ -15,7 +15,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .multiplicity import FiniteMapping, census_verdict, check_m_to_1
+from .multiplicity import FiniteMapping, check_m_to_1, fibers_verdict
 
 
 class HypothesisError(ValueError):
@@ -166,12 +166,6 @@ class GroupModel:
                    {a: (-a) % n for a in elts})
 
     @classmethod
-    def unit_group(cls, spec):
-        """F_q^* under multiplication, elements as encoding indices."""
-        elts = tuple(spec.exp_at(k) for k in range(spec.q - 1))
-        return cls(elts, spec.mul, 1, {a: spec.inv(a) for a in elts})
-
-    @classmethod
     def from_json(cls, obj):
         """Fixture schema: elements as a string list, op as nested objects."""
         if isinstance(obj, str):
@@ -213,7 +207,7 @@ def _fiber_size_scan(sq, m1, maps):
                 f"fiber size mismatch at s={s!r}: {len(pts)} != {m1}*{down}")
         for name, mapping in maps:
             sub = mapping.restrict(pts)
-            if not census_verdict(sub.census(), len(sub), m1):
+            if not fibers_verdict(sub.census()[m1], len(sub), m1):
                 raise HypothesisError(
                     f"{name} is not {m1}-to-1 on lam^-1({s!r})")
     return lam_fibers
@@ -238,7 +232,7 @@ def local_criterion_check(f, psi, m):
     phi = {a: psi_t[b] for a, b in zip(f.domain, f.images)}
     classes = _fibers_of(phi, f.domain)
 
-    lhs = census_verdict(f.census(), size, m)
+    lhs = fibers_verdict(f.census()[m], size, m)
     rhs = _per_class_side(f, classes.values(), m)
     return CriterionReport(lhs, rhs, {"m": m, "classes": len(classes)})
 
@@ -249,14 +243,14 @@ def construction1_verdict(sq, m):
     """Requires fbar 1-to-1 on S.  rhs: per-fiber m-to-1 over lam(A) plus the
     exceptional-set sum identity; lhs: direct check of f."""
     fbar_map = sq.fbar_mapping()
-    if not census_verdict(fbar_map.census(), len(fbar_map), 1):
+    if not fibers_verdict(fbar_map.census()[1], len(fbar_map), 1):
         raise HypothesisError("fbar is not 1-to-1 on S")
     f = sq.f_mapping()
     size = len(f)
     if not 1 <= m <= size:
         raise ValueError(f"m must be in [1, {size}], got {m}")
 
-    lhs = census_verdict(f.census(), size, m)
+    lhs = fibers_verdict(f.census()[m], size, m)
     rhs = _per_class_side(f, _fibers_of(sq.lam, sq.a_points).values(), m)
     return CriterionReport(lhs, rhs, {"m": m})
 
@@ -274,7 +268,7 @@ def construction2_verdict(sq, m1, m):
         raise HypothesisError(
             f"m must be in [1, m1*#S] = [1, {m1 * len(sq.s_points)}], got {m}")
 
-    lhs = census_verdict(f.census(), size, m)
+    lhs = fibers_verdict(f.census()[m], size, m)
 
     if m % m1:
         rhs = False
@@ -323,7 +317,7 @@ def construction3_verdict(group, sq, u, variant, m, m1=None):
 
     if variant == 1:
         fbar_map = sq.fbar_mapping()
-        if not census_verdict(fbar_map.census(), len(fbar_map), 1):
+        if not fibers_verdict(fbar_map.census()[1], len(fbar_map), 1):
             raise HypothesisError("variant 1 needs fbar 1-to-1 on S")
         seen = {}
         for a in sq.a_points:
@@ -342,6 +336,6 @@ def construction3_verdict(group, sq, u, variant, m, m1=None):
     else:
         raise ValueError(f"variant must be 1 or 2, got {variant}")
 
-    lhs = census_verdict(fu.census(), len(fu), m)
-    rhs = census_verdict(f_map.census(), len(f_map), m)
+    lhs = fibers_verdict(fu.census()[m], len(fu), m)
+    rhs = fibers_verdict(f_map.census()[m], len(f_map), m)
     return CriterionReport(lhs, rhs, {"variant": variant, "m": m})

@@ -28,8 +28,8 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .galois import FieldElement, Poly, eval_powers
-from .multiplicity import (IndexMapping, census_verdict, check_m_to_1,
-                           fiber_census, fibers_verdict)
+from .multiplicity import (IndexMapping, fiber_census, fibers_verdict,
+                           sorted_row_censuses)
 
 
 def _check_exponent(r):
@@ -105,13 +105,10 @@ class CycloDecomposition:
         return IndexMapping([spec.exp[j * s] for j in range(self.ell)],
                             [spec.exp[t] for t in self.g_logs], spec.from_index)
 
-    def g_report(self, m2):
-        return check_m_to_1(self.g_mapping(), m2)
-
     def g_verdict(self, m2):
         if not 1 <= m2 <= self.ell:
             return False
-        return census_verdict(self.g_census, self.ell, m2)
+        return fibers_verdict(self.g_census[m2], self.ell, m2)
 
 
 def decompose(form, verify=True):
@@ -151,8 +148,9 @@ def g_censuses(forms, rmax):
     """g = x^r1 h(x)^s1 on U_ell for several forms of one field and s and
     every r in [1, rmax], from h's values on U_ell (the prediction side):
     (logs, census) with logs[i, r-1, j] = log g(u_j) for forms[i] and
-    census[i, r-1, c] the number of values that g takes exactly c times
-    (c >= 1)."""
+    census[i, r-1, c] the number of values that g takes exactly c times,
+    defined for c >= 1 only.  A row's ell values are sparse in [0, q-1), so
+    the census comes from sorting the rows, not from the oracle's routine."""
     form = forms[0]
     q1 = form.spec.q - 1
     s = form.s
@@ -161,13 +159,15 @@ def g_censuses(forms, rmax):
     hlogs = np.array([f.hlogs for f in forms])
     logs = ((r // m1)[:, None] * (s * np.arange(form.ell))
             + (s // m1)[:, None] * hlogs[:, None, :]) % q1
-    return logs, _row_censuses(logs, q1)
+    census = sorted_row_censuses(logs.reshape(-1, form.ell))
+    return logs, census.reshape(logs.shape[:-1] + (form.ell + 1,))
 
 
 def _row_censuses(logs, q1):
     """census[..., c]: how many values in [0, q1) occur exactly c times in
-    each row (last axis) of logs; one offset bincount counts the fibers, a
-    second one their sizes."""
+    each row (last axis) of logs, defined for c >= 1 only; one offset
+    bincount counts the fibers, a second one their sizes.  The oracle's
+    rows fill [0, q1), where this is faster and leaner than sorting."""
     width = logs.shape[-1]
     flat = logs.reshape(-1, width)
     row = np.arange(len(flat))

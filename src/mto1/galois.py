@@ -11,7 +11,6 @@ at q <= 2**16 because every downstream check is an exhaustive sweep.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 
@@ -319,12 +318,6 @@ class FieldSpec:
             raise FieldError(f"element index {idx} out of range for q={self.q}")
         return FieldElement(self, idx)
 
-    def from_coeffs(self, cs):
-        cs = tuple(int(c) % self.p for c in cs)
-        if len(cs) > self.n:
-            raise FieldError(f"coefficient vector longer than degree {self.n}")
-        return FieldElement(self, _coeffs_to_idx(cs, self.p))
-
     @property
     def zero(self):
         return FieldElement(self, 0)
@@ -428,12 +421,6 @@ class FieldElement:
     def __bool__(self):
         return self.index != 0
 
-    def multiplicative_order(self):
-        if self.index == 0:
-            raise ZeroDivisionError("order of 0")
-        q1 = self.spec.q - 1
-        return q1 // math.gcd(q1, self.spec.log[self.index]) if q1 else 1
-
     def __str__(self):
         return format_element(self)
 
@@ -471,13 +458,6 @@ def parse_field(text):
     if m.group(3) is not None:
         modulus = tuple(int(t) for t in m.group(3).split(","))
     return build_field(p, n, modulus)
-
-
-def format_field(spec):
-    body = f"{spec.p}^{spec.n}"
-    if spec.modulus != _default_modulus(spec.p, spec.n):
-        body += "/" + ",".join(str(c) for c in spec.modulus)
-    return body
 
 
 _GPOW_RE = re.compile(r"^g\^(-?\d+)$")

@@ -37,8 +37,8 @@ from .cyclotomic import (CycloForm, check_square, conjunct_rule,
 from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
                      build_field, quadratic_base, subfield_indices)
 from .multiplicity import (ENUMERATION_MAX_Q, FiniteMapping, IndexMapping,
-                           census_verdict, check_m_to_1, count_by_enumeration,
-                           count_formula, fibers_verdict)
+                           check_m_to_1, count_by_enumeration, count_formula,
+                           fibers_verdict)
 from .unitline import (base_trace, frob_q, g3_families, g5_family,
                        g_permutation_lemma, halfplane_split, line_pair_deg1,
                        line_poly_deg1, line_poly_rk, observe_towers,
@@ -831,7 +831,7 @@ def random_construction3_model(rng, variant, max_n=12):
     fu = {a: group.op(f[a], u[a]) for a in A}
     for s in S:
         block = FiniteMapping(blocks[s], [fu[a] for a in blocks[s]])
-        if not census_verdict(block.census(), len(block), m1):
+        if not fibers_verdict(block.census()[m1], len(block), m1):
             return None  # this u breaks the per-fiber hypothesis; resample
     sq = CommutativeSquare(A, A, S, Sbar, f, fbar, lam, lambar)
     return group, sq, u, rng.randrange(1, m1 * ns + 1), m1

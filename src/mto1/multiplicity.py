@@ -154,7 +154,7 @@ def admissible_m_set(mapping):
     """All m in [1, #A] for which the mapping is m-to-1 (possibly empty);
     only a fiber size that occurs can be one, as floor(#A/m) >= 1."""
     census, size = mapping.census(), len(mapping)
-    return frozenset(m for m in census if census_verdict(census, size, m))
+    return frozenset(m for m in census if fibers_verdict(census[m], size, m))
 
 
 def sorted_row_censuses(values):
@@ -177,21 +177,16 @@ def fiber_census(fib):
     return Counter(fib.values())
 
 
-def census_verdict(census, size, m):
-    """The m-to-1 rule on a census of a mapping with size domain points:
-    exactly floor(size/m) fibers have size m."""
-    return fibers_verdict(census.get(m, 0), size, m)
-
-
 def fibers_verdict(count, size, m):
-    """The m-to-1 rule from the number of fibers of size m; elementwise on
-    numpy arrays of counts and m."""
+    """The m-to-1 rule: a map on size points with count fibers of size m
+    (census[m] of its census Counter) is m-to-1 iff count = floor(size/m).
+    Elementwise on numpy arrays of counts and m."""
     return count * m == size - size % m
 
 
 def verdict_from_histogram(fib, size, m):
     """check_m_to_1's verdict straight from a fiber Counter."""
-    return census_verdict(fiber_census(fib), size, m)
+    return fibers_verdict(fiber_census(fib)[m], size, m)
 
 
 def count_formula(q, m):

@@ -21,7 +21,7 @@ from collections import Counter
 import numpy as np
 
 from .criteria import HypothesisError
-from .cyclotomic import star_censuses
+from .cyclotomic import conjunct_rule, star_censuses
 from .galois import Poly, format_element
 from .multiplicity import fibers_verdict
 
@@ -40,20 +40,15 @@ CHUNK_CELLS = 1 << 17
 
 
 def admissible_r_values(q, s, m, r_values=None):
-    """r in [1, q-1] whose (m1, m2) pass the arithmetic conjuncts of the
-    subgroup reduction for the target m; the g-check remains per-h."""
+    """(r, m1, m2) for each r in [1, q-1] (or in r_values) that passes
+    conjunct_rule at the target m, with g's conjunct read as m2 <= ell: the
+    g-check remains per-h."""
     ell = (q - 1) // s
     out = []
     for r in (r_values if r_values is not None else range(1, q)):
         m1 = math.gcd(r, s)
-        if m % m1:
-            continue
-        m2 = m // m1
-        if m2 > ell:
-            continue
-        if not s * (ell % m2) < m:
-            continue
-        out.append((r, m1, m2))
+        if not conjunct_rule(s, ell, m1, m, lambda m2: m2 <= ell):
+            out.append((r, m1, m // m1))
     return out
 
 

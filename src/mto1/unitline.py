@@ -730,13 +730,6 @@ def unit_pair_g3(field, c):
     return L, M, field.one, 3
 
 
-def unit_pair_g5(field):
-    """(x^5 + x^4 + x, x^4 + x + 1, 1, 5): permutes U_{q+1} iff n != 2 mod 4."""
-    L = Poly(field, (0, 1, 0, 0, 1, 1))
-    M = Poly(field, (1, 1, 0, 0, 1))
-    return L, M, field.one, 5
-
-
 def line_pair_deg1(field, gamma, delta):
     """(gamma x + gamma^q, delta x + delta^q, 1, 1): bijects U_{q+1} onto
     F_q + {INF} iff gamma^(q-1) != delta^(q-1) (gamma, delta nonzero)."""

@@ -132,6 +132,26 @@ def test_search_hits_match_pinned_digests(capsys, argv):
     assert digest == SEARCH_PINS[argv]
 
 
+@pytest.mark.parametrize("argv", [
+    ("search", "13^1", "--s", "4", "--deg", "2", "--m", "3"),
+    ("verify", "count", "--q", "2..4"),
+])
+def test_plain_output_encodes_no_json(capsys, monkeypatch, argv):
+    # without --json or --out the JSON text would be thrown away, so it is
+    # never encoded: an encoder that raises changes nothing
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and want
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("JSON encoded for a plain run")
+    monkeypatch.setattr(cli, "json", argparse.Namespace(
+        JSONEncoder=refuse, dumps=json.dumps))
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == want
+    with pytest.raises(AssertionError, match="plain run"):
+        cli.main([*argv, "--json"])
+
+
 def test_count_cli(capsys):
     code, out, _ = run_cli(capsys, "count", "--q", "2..4", "--check")
     assert code == 0

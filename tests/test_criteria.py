@@ -216,7 +216,8 @@ def test_construction3_multiplicative_transfer_instance():
     u6 = [spec.exp_at(2 * j) for j in range(6)]
     g = {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(3)}
     f = dict(zip(star, map(spec.exp_at, star_census(form)[0].tolist())))
-    group = GroupModel.unit_group(spec)
+    elts = tuple(spec.exp_at(k) for k in range(spec.q - 1))  # F_q^*
+    group = GroupModel(elts, spec.mul, 1, {a: spec.inv(a) for a in elts})
     sq = CommutativeSquare(star, star, u3, u6, f, g, lam, lambar)
     for m in (1, 2, 3, 4, 6):
         rep = construction3_verdict(group, sq, u, 2, m, m1=2)

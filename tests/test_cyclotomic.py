@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from mto1.criteria import HypothesisError
-from mto1.cyclotomic import (CycloForm, brute_verdict_star, decompose,
-                             failed_conjunct, fq_bridge, g_censuses,
+from mto1.cyclotomic import (CycloForm, _row_censuses, brute_verdict_star,
+                             decompose, failed_conjunct, fq_bridge, g_censuses,
                              hd_family_predict, hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
@@ -22,7 +22,8 @@ from mto1.cyclotomic import (CycloForm, brute_verdict_star, decompose,
                              transfer_equivalence)
 from mto1.galois import FieldElement, Poly, build_field
 from mto1.multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
-                               fiber_census, verdict_from_histogram)
+                               fiber_census, sorted_row_censuses,
+                               verdict_from_histogram)
 
 F64 = (2, 6, (1, 1, 0, 1, 1, 0, 1))
 
@@ -81,7 +82,8 @@ def test_decompose_monomial_case():
 def test_decompose_f29_paper_instance():
     dec = decompose(f29_form())
     assert (dec.m1, dec.r1, dec.s1, dec.ell) == (2, 1, 2, 7)
-    assert dec.g_report(6).verdict  # g = x h(x)^2 is 6-to-1 on U_7
+    # g = x h(x)^2 is 6-to-1 on U_7
+    assert check_m_to_1(dec.g_mapping(), 6).verdict
 
 
 def test_decompose_f64_constant_g():
@@ -643,7 +645,8 @@ def test_failed_conjunct_and_cached_g_verdict_match_predict_from(q):
             for r in range(1, 2 * s + 1):
                 dec = decompose(base.with_r(r))
                 for m2 in range(1, dec.ell + 1):
-                    assert dec.g_verdict(m2) == dec.g_report(m2).verdict
+                    assert (dec.g_verdict(m2)
+                            == check_m_to_1(dec.g_mapping(), m2).verdict)
                 assert failed_conjunct(dec, 0)
                 assert failed_conjunct(dec, (dec.ell + 1) * dec.m1) == 2
                 for m in range(1, dec.ell * dec.m1 + 1):
@@ -702,6 +705,27 @@ def test_star_censuses_rejects_a_root():
     # for h that a scan admitted, a root is an arithmetic bug, not a skip
     with pytest.raises(RuntimeError):
         rootless_censuses(spec, 4, [h], [1])
+
+
+@pytest.mark.parametrize("rows, width, q1, spread", [
+    (6, 1, 12, 12),        # one value per row
+    (8, 15, 4095, 4095),   # width far below the value range: sparse rows
+    (8, 15, 4095, 3),      # sparse rows with large fibers
+    (5, 63, 63, 63),       # width equal to the range: dense rows
+    (5, 63, 63, 4),        # dense rows with large fibers
+])
+def test_sorted_and_bincount_row_censuses_agree(rows, width, q1, spread):
+    # the prediction's census (sorting) and the oracle's (offset bincount)
+    # are defined for fiber sizes c >= 1 only, and agree on every one
+    rng = np.random.default_rng([rows, width, q1, spread])
+    values = rng.integers(q1 - spread, q1, size=(rows, width))
+    by_sort = sorted_row_censuses(values)
+    by_count = _row_censuses(values, q1)
+    assert by_sort.shape == by_count.shape == (rows, width + 1)
+    assert (by_sort[:, 1:] == by_count[:, 1:]).all()
+    for row, census in zip(values.tolist(), by_sort.tolist()):
+        want = fiber_census(Counter(row))
+        assert {c: n for c, n in enumerate(census) if c and n} == want
 
 
 def test_decompose_and_permutes_field_read_the_oracle():

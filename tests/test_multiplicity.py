@@ -9,10 +9,9 @@ import pytest
 
 from mto1.galois import build_field
 from mto1.multiplicity import (FiniteMapping, IndexMapping, admissible_m_set,
-                               census_verdict, check_m_to_1,
-                               count_by_enumeration, count_formula,
-                               fiber_census, fiber_histogram,
-                               verdict_from_histogram)
+                               check_m_to_1, count_by_enumeration,
+                               count_formula, fiber_census, fiber_histogram,
+                               fibers_verdict, verdict_from_histogram)
 
 
 def paper_f5_mapping():
@@ -235,7 +234,7 @@ def test_census_verdict_matches_check_m_to_1():
         assert sum(census.values()) == len(set(images))
         for m in range(1, size + 1):
             want = check_m_to_1(mp, m).verdict
-            assert census_verdict(census, size, m) == want
+            assert fibers_verdict(census[m], size, m) == want
             assert verdict_from_histogram(mp.fiber_sizes(), size, m) == want
 
 

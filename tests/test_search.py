@@ -1,6 +1,7 @@
 """Form search: hit correctness, completeness, budget and memory contract."""
 
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -116,6 +117,41 @@ def test_search_m_out_of_reduction_range_is_empty():
     # m too large for every (m1, ell) pair: no admissible r at all
     assert admissible_r_values(13, 12, 5) == []
     assert search_forms(build_field(13), 12, 1, 5) == []
+
+
+def _reference_admissible_r_values(q, s, m, r_values=None):
+    # conjuncts 1 and 3 of the reduction, written out as their own loop
+    ell = (q - 1) // s
+    out = []
+    for r in (r_values if r_values is not None else range(1, q)):
+        m1 = math.gcd(r, s)
+        if m % m1:
+            continue
+        m2 = m // m1
+        if m2 > ell:
+            continue
+        if not s * (ell % m2) < m:
+            continue
+        out.append((r, m1, m2))
+    return out
+
+
+def test_admissible_r_values_match_a_reference_loop():
+    # every prime power q <= 64, every s | q-1 and every m in [1, q-1], over
+    # all r and over one explicit r list per (q, s), kept in its given order
+    prime_powers = [p ** k for p in range(2, 65)
+                    if all(p % d for d in range(2, p))
+                    for k in range(1, 7) if p ** k <= 64]
+    assert len(prime_powers) == 27
+    for q in sorted(prime_powers):
+        for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+            rng = random.Random(f"r-values-{q}-{s}")
+            r_values = rng.sample(range(1, q), rng.randrange(1, q))
+            for m in range(1, q):
+                assert (admissible_r_values(q, s, m)
+                        == _reference_admissible_r_values(q, s, m))
+                assert (admissible_r_values(q, s, m, r_values)
+                        == _reference_admissible_r_values(q, s, m, r_values))
 
 
 def test_search_kernel_memory_is_bounded():

@@ -26,7 +26,7 @@ from mto1.unitline import (INF, Deg1Map, RationalEvalError, RationalMap,
 
 def test_rat_eval_conventions():
     spec = build_field(2, 2)
-    w = spec.from_coeffs((0, 1))
+    w = spec.from_index(2)  # x = 0 + 1*p
     x_over_1 = RationalMap(Poly.x(spec), Poly.constant(spec, 1))
     assert rat_eval(x_over_1, INF) is INF
     # (x+1)/(x+w) at x = w: nonzero over zero
@@ -432,11 +432,12 @@ def test_tower_unit_r1l1_example_grid_q4():
 def test_tower_unit_with_g5_inner_pair_q8():
     # q = 8 = 2^3, 3 != 2 mod 4: the quintic pair permutes U_9 and feeds the
     # R1 construction
-    from mto1.unitline import unit_pair_g5
     spec = build_field(2, 6)
     q = 8
     import math
-    inner = unit_pair_g5(spec)
+    # (x^5 + x^4 + x, x^4 + x + 1, 1, 5): permutes U_(q+1) iff n != 2 mod 4
+    inner = (Poly(spec, (0, 1, 0, 0, 1, 1)), Poly(spec, (1, 1, 0, 0, 1)),
+             spec.one, 5)
     g = spec.generator()
     outer = unit_pair_deg1(spec, g, spec.one)
     n, m1 = 2, 1
