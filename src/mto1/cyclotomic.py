@@ -10,12 +10,12 @@ verdicts; brute-force scans of f itself act as the oracle.
 There is one oracle, `star_censuses`: it evaluates h(x^s) at every x in
 F_q^* from h's coefficients, without reading `CycloForm.hlogs` (h on U_ell)
 or the identity x^s = u_(i mod ell), so it checks the reduction from
-outside.  Every family, the commuting square of `decompose(verify=True)`,
-`permutes_field` and search's re-verification read it; `star_verdicts`
-answers many forms at once, and `star_fibers` and `brute_verdict_star` are
-its one-form views.  `hlogs` is read only by the
-prediction side: `CycloForm`, `with_r`, `decompose`, `g_censuses`,
-`monomial_predict` and `infer_monomial_params`.
+outside.  Every family, the squares of `decompose` and `reduction_chunks`
+(the one engine of the main, case-list and monomial grids), `permutes_field`
+and search's re-verification read it; `star_verdicts` answers many forms at
+once, and `star_fibers` and `brute_verdict_star` are its one-form views.
+`hlogs` is read only by the prediction side: `CycloForm`, `with_r`,
+`decompose`, `g_censuses`, `monomial_predict` and `infer_monomial_params`.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import HypothesisError
 from .galois import FieldElement, Poly, eval_powers
-from .multiplicity import (IndexMapping, fiber_census, fibers_verdict,
-                           sorted_row_censuses)
+from .multiplicity import fiber_census, fibers_verdict, sorted_row_censuses
 
 
 def _check_exponent(r):
@@ -100,31 +100,21 @@ class CycloDecomposition:
     # fiber_census of g on U_ell; derived from g_logs, so not compared
     g_census: dict = dc_field(compare=False, repr=False)
 
-    def g_mapping(self):
-        spec, s = self.form.spec, self.form.s
-        return IndexMapping([spec.exp[j * s] for j in range(self.ell)],
-                            [spec.exp[t] for t in self.g_logs], spec.from_index)
-
     def g_verdict(self, m2):
         if not 1 <= m2 <= self.ell:
             return False
         return fibers_verdict(self.g_census[m2], self.ell, m2)
 
 
-def decompose(form, verify=True):
-    """Build g on U_ell; by default verify the commuting square exhaustively
-    against the oracle's f.
-
-    Verification failures raise RuntimeError: they would mean an arithmetic
-    bug, not a property of the input.  Grid sweeps may pass verify=False to
-    skip the O(q) re-check per form.
-    """
+def decompose(form):
+    """Build g on U_ell and verify the commuting square exhaustively against
+    the oracle's f; a failure raises RuntimeError, as it would mean an
+    arithmetic bug, not a property of the input."""
     spec = form.spec
     q1 = spec.q - 1
     s, s1, r1, m1, ell = form.s, form.s1, form.r1, form.m1, form.ell
     g_logs = tuple((r1 * (j * s) + s1 * form.hlogs[j]) % q1 for j in range(ell))
-    if verify:
-        check_square(form, g_logs, star_census(form)[0])
+    check_square(form, g_logs, star_census(form)[0])
     return CycloDecomposition(form, m1, r1, s1, ell, g_logs,
                               fiber_census(Counter(g_logs)))
 
@@ -144,17 +134,17 @@ def check_square(form, g_logs, flogs):
         raise RuntimeError("commuting square failed; arithmetic bug")
 
 
-def g_censuses(forms, rmax):
+def g_censuses(forms, rs):
     """g = x^r1 h(x)^s1 on U_ell for several forms of one field and s and
-    every r in [1, rmax], from h's values on U_ell (the prediction side):
-    (logs, census) with logs[i, r-1, j] = log g(u_j) for forms[i] and
-    census[i, r-1, c] the number of values that g takes exactly c times,
-    defined for c >= 1 only.  A row's ell values are sparse in [0, q-1), so
-    the census comes from sorting the rows, not from the oracle's routine."""
+    each r in rs, from h's values on U_ell (the prediction side): (logs,
+    census) with logs[i, k, j] = log g(u_j) for forms[i] and rs[k], and
+    census[i, k, c] the number of values that g takes exactly c times, for
+    c >= 1 only.  A row's ell values are sparse in [0, q-1), so the census
+    comes from sorting the rows, not from the oracle's routine."""
     form = forms[0]
     q1 = form.spec.q - 1
     s = form.s
-    r = np.arange(1, rmax + 1)
+    r = np.asarray(rs)
     m1 = np.gcd(r, s)
     hlogs = np.array([f.hlogs for f in forms])
     logs = ((r // m1)[:, None] * (s * np.arange(form.ell))
@@ -293,11 +283,73 @@ def conjunct_text(failed, m2, ell):
             "s*(ell mod m2) < m")[failed]
 
 
-def failed_conjunct(decomp, m):
-    """conjunct_rule on a decomposition, without building a MainPrediction.
-    An m outside [1, ell*m1] fails conjunct 1 or 2."""
-    return conjunct_rule(decomp.form.s, decomp.ell, decomp.m1, m,
-                         decomp.g_verdict)
+# (form, r, x) cells per reduction_chunks chunk: bounds the f and g fiber
+# tables whatever the field and s
+REDUCTION_CELLS = 1 << 17
+
+
+class Reduction(NamedTuple):
+    """One form's row of reduction_chunks, in lists: at pairs[i], codes[i]
+    is conjunct_rule's code (0: f is predicted m-to-1), observed[i] the
+    oracle's verdict and misses the i where they differ; g's rows (logs and
+    census arrays) are at rs[k]."""
+
+    form: CycloForm
+    rs: list
+    g_logs: np.ndarray
+    g_census: np.ndarray
+    codes: list
+    observed: list
+    misses: list
+
+    def decompositions(self):
+        """{r: the form's decomposition at r} for each r in rs, from g's rows
+        (no second scan of h); the chunk's commuting square stands for
+        theirs."""
+        out = {}
+        for r, logs, census in zip(self.rs, self.g_logs.tolist(),
+                                   self.g_census.tolist()):
+            form = self.form.with_r(r)
+            out[r] = CycloDecomposition(
+                form, form.m1, form.r1, form.s1, form.ell, tuple(logs),
+                Counter({c: n for c, n in enumerate(census) if c and n}))
+        return out
+
+
+def reduction_chunks(spec, s, forms, pairs):
+    """The main reduction against the oracle for forms over spec with this
+    s (their own r unread) at each (r, m) in pairs, m in [1, ell*m1]: yields
+    one Reduction per form, in order.  A chunk of forms makes one g_censuses
+    and one rootless_censuses call over the distinct r and checks one
+    commuting square at the least r; it holds at most REDUCTION_CELLS
+    (form, r, x) cells, or one form when its r do not fit.  conjunct_rule
+    runs once per pair for each answer of conjunct 2 (g is (m/m1)-to-1), and
+    g's census picks the answer per form."""
+    q1 = spec.q - 1
+    ell = q1 // s
+    rs = sorted({r for r, _ in pairs})
+    r_at, ms = np.array(pairs).T
+    k = np.searchsorted(rs, r_at)
+    # m2 = 0 only where m < m1: conjunct 1 fails there whatever g's census
+    m2s = np.maximum(ms // np.gcd(r_at, s), 1)
+    if_g, if_not = (np.array([conjunct_rule(s, ell, math.gcd(r, s), m,
+                                            lambda _: ok) for r, m in pairs])
+                    for ok in (True, False))
+    per_chunk = max(1, REDUCTION_CELLS // (len(rs) * q1))
+    for lo in range(0, len(forms), per_chunk):
+        chunk = forms[lo:lo + per_chunk]
+        g_logs, g_census = g_censuses(chunk, rs)
+        f_logs, f_census = rootless_censuses(spec, s, [f.h for f in chunk], rs)
+        check_square(chunk[0].with_r(rs[0]), g_logs[:, 0], f_logs[:, 0])
+        observed = fibers_verdict(f_census[:, k, ms], q1, ms)
+        del f_logs, f_census  # only the verdicts outlive the oracle call
+        codes = np.where(fibers_verdict(g_census[:, k, m2s], ell, m2s),
+                         if_g, if_not)
+        misses = [[] for _ in chunk]
+        for i, j in np.argwhere((codes == 0) != observed).tolist():
+            misses[i].append(j)
+        yield from map(Reduction, chunk, [rs] * len(chunk), g_logs, g_census,
+                       codes.tolist(), observed.tolist(), misses)
 
 
 def predict_from(decomp, m):
@@ -305,7 +357,8 @@ def predict_from(decomp, m):
     if not 1 <= m <= decomp.ell * decomp.m1:
         raise ValueError(
             f"m must be in [1, ell*m1] = [1, {decomp.ell * decomp.m1}], got {m}")
-    failed = failed_conjunct(decomp, m)
+    failed = conjunct_rule(decomp.form.s, decomp.ell, decomp.m1, m,
+                           decomp.g_verdict)
     text = conjunct_text(failed, m // decomp.m1, decomp.ell)
     return MainPrediction(m, not failed, text, decomp)
 

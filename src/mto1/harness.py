@@ -20,18 +20,15 @@ from functools import partial
 from multiprocessing import Pool, cpu_count
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        _fibers_of, construction1_verdict,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
-from .cyclotomic import (CycloForm, check_square, conjunct_rule,
-                         conjunct_text, decompose, failed_conjunct,
-                         g_censuses, hd_family_predict, hd_rootless_gcd,
-                         hd_rootless_scan, lift_from_permutation,
-                         monomial_predict, permutes_field, predict_from,
-                         random_rootless_form, random_rootless_poly,
+from .cyclotomic import (CycloForm, conjunct_text, decompose,
+                         hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
+                         lift_from_permutation, monomial_predict,
+                         permutes_field, predict_from, random_rootless_form,
+                         random_rootless_poly, reduction_chunks,
                          rootless_censuses, small_ell_predict,
                          small_m_predict, star_census, transfer_equivalence)
 from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
@@ -57,9 +54,6 @@ class VerifyJob:
 
 
 MAIN_GRID_Q = (5, 7, 8, 9, 11, 13, 16, 25, 27, 29, 49, 64)
-# (h, r, x) cells per numpy chunk of a main-grid cell: bounds the f and g
-# fiber tables whatever the field and s
-MAIN_CHUNK_CELLS = 1 << 17
 Q2_GRID = (3, 4, 5, 7, 8)
 CHAR2_NS = tuple(range(1, 9))  # the n of the F_(2^(2n)) families
 
@@ -160,61 +154,30 @@ def _eval_count(params):
 def _eval_main_grid(params):
     """One (q, s) cell: hcount distinct rootless h drawn from the cell's own
     stream, each checked at all r in [1, 2s] and all m <= min(ell*m1, mcap);
-    one record per h.
-
-    The prediction reads h on U_ell (CycloForm.hlogs) through g's census; the
-    oracle evaluates f over all of F_q^* from h's coefficients.  At r = 1 the
-    commuting square compares g against the oracle's f."""
+    one record per h, read from reduction_chunks."""
     fk = tuple(params["field"])
     spec = _field(fk)
     s = params["s"]
-    q1 = spec.q - 1
-    ell = q1 // s
-    rmax = 2 * s
-    pairs = []
-    for r in range(1, rmax + 1):
-        m1 = math.gcd(r, s)
-        mtop = min(ell * m1, params["mcap"])
-        pairs += [(r, m, m1) for m in range(1, mtop + 1)]
-    rs, ms, m1s = np.array(pairs).T
-    m2s = ms // m1s
-    # conjunct 2 is the only h-dependent part of the rule: per (r, m), the
-    # verdict is one of two codes, picked per h by g's census at m2
-    if_g = np.array([conjunct_rule(s, ell, m1, m, lambda _: True)
-                     for _, m, m1 in pairs])
-    if_not = np.array([conjunct_rule(s, ell, m1, m, lambda _: False)
-                       for _, m, m1 in pairs])
+    ell = (spec.q - 1) // s
+    pairs = [(r, m) for r in range(1, 2 * s + 1)
+             for m in range(1, min(ell * math.gcd(r, s), params["mcap"]) + 1)]
     rng = _rng(params["seed"], "main", spec.q, s)
     drawn = {}
     while len(drawn) < params["hcount"]:
         form = random_rootless_form(spec, s, params["degmax"], rng)
         drawn.setdefault(form.h.coeffs, form)
-    forms = list(drawn.values())
-    per_chunk = max(1, MAIN_CHUNK_CELLS // (rmax * q1))
     records = []
-    for lo in range(0, len(forms), per_chunk):
-        chunk = forms[lo:lo + per_chunk]
-        g_logs, g_census = g_censuses(chunk, rmax)
-        f_logs, f_census = rootless_censuses(spec, s, [f.h for f in chunk],
-                                             range(1, rmax + 1))
-        check_square(chunk[0], g_logs[:, 0], f_logs[:, 0])
-        g_ok = np.zeros(g_census.shape, dtype=bool)
-        g_ok[..., 1:] = fibers_verdict(g_census[..., 1:], ell,
-                                       np.arange(1, ell + 1))
-        codes = np.where(g_ok[:, rs - 1, m2s], if_g, if_not)
-        predicted = codes == 0
-        observed = fibers_verdict(f_census[:, rs - 1, ms], q1, ms)
-        for form, code, pred, obs in zip(chunk, codes, predicted, observed):
-            tally = _Tally()
-            tally.checked = len(pairs)
-            tally.bad = [{"r": int(rs[i]), "m": int(ms[i]),
-                          "predicted": bool(pred[i]),
-                          "observed": bool(obs[i]),
-                          "failed_conjunct": conjunct_text(code[i], m2s[i],
-                                                           ell)}
-                         for i in np.flatnonzero(pred != obs)]
-            records.append(tally.record({"field": list(fk[:2]), "s": s,
-                                         "h": str(form.h), "rmax": rmax}))
+    for red in reduction_chunks(spec, s, list(drawn.values()), pairs):
+        tally = _Tally()
+        tally.checked = len(pairs)
+        for i in red.misses:
+            (r, m), code = pairs[i], red.codes[i]
+            tally.bad.append({"r": r, "m": m, "predicted": code == 0,
+                              "observed": red.observed[i],
+                              "failed_conjunct": conjunct_text(
+                                  code, m // math.gcd(r, s), ell)})
+        records.append(tally.record({"field": list(fk[:2]), "s": s,
+                                     "h": str(red.form.h), "rmax": 2 * s}))
     return records
 
 
@@ -239,38 +202,27 @@ def _eval_main_fixture(params):
 
 def _case_list_grid(params, predict, ms):
     """Case-list vs main prediction vs oracle for the hcount h drawn from
-    one cell's stream, every r in [1, 2s] and every m in ms(decomposition);
-    yields each h's tally and record params.  As in the main grid, a chunk
-    of h takes one oracle call and one commuting square at r = 1."""
+    one cell's stream, every r in [1, 2s] and every m in ms(ell, m1);
+    yields each h's tally and record params.  The case predictor reads the
+    decomposition that reduction_chunks built from g's rows."""
     spec = _field(tuple(params["field"]))
     s = params["s"]
-    q1 = spec.q - 1
-    rs = range(1, 2 * s + 1)
+    ell = (spec.q - 1) // s
     rng = _rng(params["seed"])
     forms = [random_rootless_form(spec, s, params["degmax"], rng)
              for _ in range(params["hcount"])]
-    per_chunk = max(1, MAIN_CHUNK_CELLS // (len(rs) * q1))
-    for lo in range(0, len(forms), per_chunk):
-        chunk = forms[lo:lo + per_chunk]
-        logs, census = rootless_censuses(spec, s, [f.h for f in chunk], rs)
-        decs = [[decompose(form.with_r(r), verify=False) for r in rs]
-                for form in chunk]
-        check_square(chunk[0], [d[0].g_logs for d in decs], logs[:, 0])
-        for form, form_decs, rows in zip(chunk, decs, census.tolist()):
-            tally = _Tally()
-            for r, dec in zip(rs, form_decs):
-                for m in ms(dec):
-                    case_verdict, _ = predict(dec.form, m, dec)
-                    main_verdict = not failed_conjunct(dec, m)
-                    observed = fibers_verdict(rows[r - 1][m], q1, m)
-                    if not tally.check(case_verdict == main_verdict
-                                       == observed):
-                        tally.bad.append({"r": r, "m": m,
-                                          "case": case_verdict,
-                                          "main": main_verdict,
-                                          "oracle": observed})
-            yield tally, {"field": list(params["field"][:2]), "s": s,
-                          "h": str(form.h)}
+    pairs = [(r, m) for r in range(1, 2 * s + 1)
+             for m in ms(ell, math.gcd(r, s))]
+    for red in reduction_chunks(spec, s, forms, pairs):
+        tally = _Tally()
+        decs = red.decompositions()
+        for (r, m), code, observed in zip(pairs, red.codes, red.observed):
+            case_verdict, _ = predict(decs[r].form, m, decs[r])
+            if not tally.check(case_verdict == (code == 0) == observed):
+                tally.bad.append({"r": r, "m": m, "case": case_verdict,
+                                  "main": code == 0, "oracle": observed})
+        yield tally, {"field": list(params["field"][:2]), "s": s,
+                      "h": str(red.form.h)}
 
 
 @evaluator("small_m")
@@ -278,7 +230,7 @@ def _eval_small_m(params):
     """The m in {2, 3} case lists, at the cell's m."""
     m = params["m"]
     return [tally.record(dict(rec, m=m)) for tally, rec
-            in _case_list_grid(params, small_m_predict, lambda _: (m,))]
+            in _case_list_grid(params, small_m_predict, lambda *_: (m,))]
 
 
 @evaluator("small_m_corollary")
@@ -313,7 +265,7 @@ def _eval_small_m_corollary(params):
 def _eval_small_ell(params):
     """The ell in {2, 3} case lists, at every m in [1, ell*m1]."""
     return [tally.record(rec) for tally, rec in _case_list_grid(
-        params, small_ell_predict, lambda dec: range(1, dec.ell * dec.m1 + 1))]
+        params, small_ell_predict, lambda ell, m1: range(1, ell * m1 + 1))]
 
 
 @evaluator("ell2_corollary")
@@ -359,7 +311,6 @@ def _eval_monomial_grid(params):
     d, k, r = params["d"], params["k"], params["r"]
     t = (q + 1) // math.gcd(d, q + 1)
     m1 = math.gcd(r, q - 1)
-    q2_1 = spec.q - 1
     tally = _Tally()
     cases = [FieldElement(spec, a_i) for a_i in unit_subgroup_points(spec)
              if spec.pow(a_i, t) != 1]
@@ -368,15 +319,12 @@ def _eval_monomial_grid(params):
                         skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
     forms = [CycloForm(spec, r, q - 1, Poly.from_elements(
         spec, (-a, spec.one)).of_power(d) ** (k * m1)) for a in cases]
-    logs, census = rootless_censuses(spec, q - 1, [f.h for f in forms], [r])
-    decs = [decompose(form, verify=False) for form in forms]
-    check_square(forms[0], [dec.g_logs for dec in decs], logs[:, 0])
-    for a, form, dec, rows in zip(cases, forms, decs, census.tolist()):
-        mono_m = monomial_predict(form, (-a) ** (-k), -k * d)["m"]
-        for m in range(1, min(m1 * (q + 1), 24) + 1):
+    pairs = [(r, m) for m in range(1, min(m1 * (q + 1), 24) + 1)]
+    for a, red in zip(cases, reduction_chunks(spec, q - 1, forms, pairs)):
+        mono_m = monomial_predict(red.form, (-a) ** (-k), -k * d)["m"]
+        for (_, m), code, observed in zip(pairs, red.codes, red.observed):
             mono = m == mono_m
-            main_v = not failed_conjunct(dec, m)
-            observed = fibers_verdict(rows[0][m], q2_1, m)
+            main_v = code == 0
             closed = (m % m1 == 0
                       and math.gcd(r // m1 - k * d, q + 1) == m // m1)
             if not tally.check(mono == main_v == observed == closed):
@@ -871,28 +819,6 @@ def _eval_criteria_batch(params):
             tally.bad.append({"kind": kind, "instance": tally.checked,
                               "lhs": rep.lhs, "rhs": rep.rhs})
     return [tally.record({"kind": kind, "seed": params["seed"]})]
-
-
-# ---------------------------------------------------------------------------
-# the paper-derived commutative square (shared fixture)
-# ---------------------------------------------------------------------------
-
-def paper_square_f29():
-    """The F_29 instance as an explicit construction-2 square:
-    A = Abar = F_29^*, S = U_7, Sbar = U_14, lam = x^4, lambar = x^2,
-    f = x^2 h(x^4), fbar = g = x h(x)^2 with h = x^5 + x^4 + 15x^3 + 1."""
-    spec = build_field(29)
-    h = Poly.from_string(spec, "1,0,0,15,1,1")
-    form = CycloForm(spec, 2, 4, h)
-    dec = decompose(form)
-    star = [spec.exp_at(i) for i in range(28)]
-    u7 = [spec.exp_at(4 * j) for j in range(7)]
-    u14 = [spec.exp_at(2 * j) for j in range(14)]
-    f = dict(zip(star, map(spec.exp_at, star_census(form)[0].tolist())))
-    lam = {x: spec.pow(x, 4) for x in star}
-    lambar = {x: spec.pow(x, 2) for x in star}
-    g = {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(7)}
-    return CommutativeSquare(star, star, u7, u14, f, g, lam, lambar)
 
 
 # ---------------------------------------------------------------------------

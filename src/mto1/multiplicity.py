@@ -166,7 +166,7 @@ def sorted_row_censuses(values):
     starts = np.ones(values.shape, dtype=bool)
     starts[:, 1:] = values[:, 1:] != values[:, :-1]
     starts = np.flatnonzero(starts)
-    runs = np.diff(starts, append=values.size)
+    runs = np.append(starts[1:], values.size) - starts
     return np.bincount(starts // width * (width + 1) + runs,
                        minlength=rows * (width + 1)).reshape(rows, width + 1)
 

@@ -12,7 +12,7 @@ from multiprocessing import cpu_count
 
 from mto1.cyclotomic import CycloForm, main_predict, star_census
 from mto1.galois import Poly, build_field, unity_subgroup
-from mto1.harness import VerifyJob, paper_square_f29, run_job
+from mto1.harness import VerifyJob, run_job
 from mto1.criteria import construction2_verdict
 from mto1.multiplicity import (FiniteMapping, IndexMapping, check_m_to_1,
                                count_by_enumeration, count_formula)
@@ -143,13 +143,13 @@ def test_acceptance_7_tower_families():
             ok, time.perf_counter() - t0, 600.0)
 
 
-def test_acceptance_8_abstract_criteria():
+def test_acceptance_8_abstract_criteria(paper_square_f29):
     t0 = time.perf_counter()
     report = run_job(VerifyJob("criteria", {"count": 2000}, jobs=JOBS))
     total = sum(r["params"].get("checked", 0) for r in report["records"])
     ok = _no_disagreements(report) and total >= 10000
     # plus the paper-derived square
-    sq = paper_square_f29()
+    sq = paper_square_f29
     rep12 = construction2_verdict(sq, 2, 12)
     rep6 = construction2_verdict(sq, 2, 6)
     ok &= rep12.agree and rep12.lhs and rep6.agree and not rep6.lhs

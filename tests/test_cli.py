@@ -10,6 +10,7 @@ import threading
 import pytest
 
 import mto1.cli as cli
+import mto1.cyclotomic as cyclotomic
 import mto1.harness as harness
 from mto1.harness import FAMILIES, VerifyJob, build_instances, pool_size
 
@@ -417,23 +418,73 @@ def test_worker_drawn_reports_do_not_depend_on_the_pool(capsys, family):
     assert digest == REPORT_PINS[argv]
 
 
+# the reduction_chunks families at seeds 1 and 7, on the argv of REPORT_PINS;
+# computed before the grids shared one chunk engine
+SEED_PINS = {
+    ("main", "--q", "5,7,8,9", "--hcount", "4", "--seed", "1"):
+        "daf6215415dbbabbfb4aa21cff6a4ecbc781077fb6954ea403f9d23e5589d3a6",
+    ("main", "--q", "5,7,8,9", "--hcount", "4", "--seed", "7"):
+        "53d78eec1e6a92d2a3026fb46ec907e0218a7fcc7055770ae1e440553f0a865b",
+    ("small", "--q", "7,13", "--hcount", "2", "--seed", "1"):
+        "4491a074e2557737ce3cb1295a09107961b0855496b6da4e541a0dd316753a6b",
+    ("small", "--q", "7,13", "--hcount", "2", "--seed", "7"):
+        "02e97c262991a37c334a8492c2b95134df798dea550139bf2ac785c86e7f852d",
+    ("ell", "--q", "7,13", "--hcount", "2", "--seed", "1"):
+        "e38eeb3df4abac7813f7a0bfb7c68c1c7fbc8bb2d246d0ee59da8114003dc88b",
+    ("ell", "--q", "7,13", "--hcount", "2", "--seed", "7"):
+        "8a5a91173810904f82a57d68f96bde235cb460e53b18749c23b99bbd4e7219b2",
+    ("monomial", "--q", "3,4", "--seed", "1"):
+        "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
+    ("monomial", "--q", "3,4", "--seed", "7"):
+        "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
+}
+
+
+def _records_digest(capsys, *argv):
+    code, out, _ = run_cli(capsys, "verify", *argv, "--jobs", "1", "--json")
+    assert code == 0
+    records = json.loads(out)["records"]
+    for rec in records:
+        del rec["elapsed"]
+    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()
+                          ).hexdigest()
+
+
+@pytest.mark.parametrize("argv", sorted(SEED_PINS))
+def test_engine_reports_match_pins_at_other_seeds(capsys, argv):
+    assert _records_digest(capsys, *argv) == SEED_PINS[argv]
+
+
+@pytest.mark.parametrize("family", ["main", "small", "ell", "monomial"])
+def test_engine_reports_do_not_depend_on_the_chunk_size(capsys, monkeypatch,
+                                                        family):
+    # one form per chunk: every chunk calls the oracle and checks its own
+    # square, and the seed-0 report stays the pinned one
+    monkeypatch.setattr(cyclotomic, "REDUCTION_CELLS", 1)
+    argv = next(a for a in REPORT_PINS if a[0] == family)
+    assert _records_digest(capsys, *argv, "--seed", "0") == REPORT_PINS[argv]
+
+
 def test_each_form_is_predicted_and_counted_once(capsys, monkeypatch):
-    # serial seed-0 runs, counted at the harness bindings: one oracle call
-    # per small/ell cell, one h_d prediction per (s, d, e, t, r) and one
+    # serial seed-0 runs, counted at the harness and cyclotomic bindings (the
+    # corollary cells call the oracle from harness, the case-list cells
+    # through cyclotomic.reduction_chunks): one oracle call per small/ell
+    # cell, one h_d prediction per (s, d, e, t, r) and one
     # transfer_equivalence call per lift transfer draw, none per m
     calls = collections.defaultdict(list)
 
-    def count(name):
-        fn = getattr(harness, name)
+    def count(name, module=harness):
+        fn = getattr(module, name)
 
         def counted(*args):
             calls[name].append(args)
             return fn(*args)
-        monkeypatch.setattr(harness, name, counted)
+        monkeypatch.setattr(module, name, counted)
 
     for name in ("rootless_censuses", "hd_family_predict",
                  "transfer_equivalence"):
         count(name)
+    count("rootless_censuses", cyclotomic)
     for family in ("small", "ell"):
         calls.clear()
         assert _verify_records(capsys, family)[0] == cli.EXIT_OK
@@ -627,7 +678,7 @@ def test_search_exits_1_when_a_hit_fails_reverification(capsys, monkeypatch,
 
 def test_disagreement_line_lists_failed_checks(capsys, monkeypatch):
     # a rule that predicts no m-to-1 map at all disagrees with the oracle
-    monkeypatch.setattr(harness, "conjunct_rule", lambda *args: 3)
+    monkeypatch.setattr(cyclotomic, "conjunct_rule", lambda *args: 3)
     code, out, _ = run_cli(capsys, "verify", "main", "--q", "7", "--hcount",
                            "2", "--grid", "fixtures=0", "--jobs", "1")
     assert code == cli.EXIT_DISAGREE
@@ -640,3 +691,9 @@ def test_disagreement_line_lists_failed_checks(capsys, monkeypatch):
             assert entry["predicted"] is False and entry["observed"] is True
             assert entry["failed_conjunct"] == "s*(ell mod m2) < m"
             assert {"r", "m"} <= set(entry)
+    # the case-list and monomial grids read the same rule, through
+    # cyclotomic.reduction_chunks, in their "main" column
+    for family in ("small", "ell", "monomial"):
+        code, _, _ = run_cli(capsys, "verify", family,
+                             *HLOGS_PREDICTIONS[family], "--jobs", "1")
+        assert code == cli.EXIT_DISAGREE

@@ -9,7 +9,7 @@ from mto1.criteria import (CommutativeSquare, GroupModel, HypothesisError,
                            construction3_verdict, local_criterion_check)
 from mto1.cyclotomic import CycloForm, decompose, star_census
 from mto1.galois import Poly, build_field
-from mto1.harness import (paper_square_f29, random_construction1_square,
+from mto1.harness import (random_construction1_square,
                           random_construction2_square,
                           random_construction3_model, random_local_instance,
                           _rng)
@@ -113,16 +113,16 @@ def test_construction2_identity_reduction():
         assert rep.lhs == check_m_to_1(FiniteMapping.from_table(f), m).verdict
 
 
-def test_construction2_f29_square():
-    sq = paper_square_f29()
+def test_construction2_f29_square(paper_square_f29):
+    sq = paper_square_f29
     rep12 = construction2_verdict(sq, 2, 12)
     assert rep12.lhs and rep12.rhs and rep12.agree
     rep6 = construction2_verdict(sq, 2, 6)
     assert not rep6.lhs and not rep6.rhs and rep6.agree
 
 
-def test_construction2_hypothesis_violations():
-    sq = paper_square_f29()
+def test_construction2_hypothesis_violations(paper_square_f29):
+    sq = paper_square_f29
     with pytest.raises(HypothesisError):
         construction2_verdict(sq, 4, 12)  # fibers are not 4*|lambar fiber|
     with pytest.raises(HypothesisError):

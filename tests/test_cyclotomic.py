@@ -8,18 +8,19 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import mto1.cyclotomic as cyclotomic
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import (CycloForm, _row_censuses, brute_verdict_star,
-                             decompose, failed_conjunct, fq_bridge, g_censuses,
+                             conjunct_rule, decompose, fq_bridge, g_censuses,
                              hd_family_predict, hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
                              main_predict, monomial_predict, permutes_field,
                              predict_from, random_rootless_form,
-                             random_rootless_poly, rootless_censuses,
-                             small_ell_predict, small_m_predict, star_census,
-                             star_censuses, star_fibers,
-                             transfer_equivalence)
+                             random_rootless_poly, reduction_chunks,
+                             rootless_censuses, small_ell_predict,
+                             small_m_predict, star_census, star_censuses,
+                             star_fibers, transfer_equivalence)
 from mto1.galois import FieldElement, Poly, build_field
 from mto1.multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
                                fiber_census, sorted_row_censuses,
@@ -47,6 +48,19 @@ def oracle_mapping(form, with_zero=False):
     if with_zero:
         domain, images = np.append(0, domain), np.append(0, images)
     return IndexMapping(domain, images, form.spec.from_index)
+
+
+def g_mapping(dec):
+    """g on U_ell as an IndexMapping, built from the decomposition's g_logs."""
+    spec, s = dec.form.spec, dec.form.s
+    return IndexMapping([spec.exp[j * s] for j in range(dec.ell)],
+                        [spec.exp[t] for t in dec.g_logs], spec.from_index)
+
+
+def failed_conjunct(dec, m):
+    """The first failed conjunct of the reduction at m, on a decomposition,
+    as predict_from evaluates it."""
+    return conjunct_rule(dec.form.s, dec.ell, dec.m1, m, dec.g_verdict)
 
 
 def hlogs_f(form):
@@ -83,7 +97,7 @@ def test_decompose_f29_paper_instance():
     dec = decompose(f29_form())
     assert (dec.m1, dec.r1, dec.s1, dec.ell) == (2, 1, 2, 7)
     # g = x h(x)^2 is 6-to-1 on U_7
-    assert check_m_to_1(dec.g_mapping(), 6).verdict
+    assert check_m_to_1(g_mapping(dec), 6).verdict
 
 
 def test_decompose_f64_constant_g():
@@ -173,7 +187,7 @@ def test_main_soundness_sample_grid(q):
             h = random_rootless_poly(spec, s, 5, rng)
             for r in range(1, min(2 * s, 12) + 1):
                 form = CycloForm(spec, r, s, h)
-                dec = decompose(form, verify=False)
+                dec = decompose(form)
                 fib = star_fibers(form)
                 for m in range(1, min(dec.ell * dec.m1, 12) + 1):
                     assert (predict_from(dec, m).verdict
@@ -602,7 +616,7 @@ def test_small_ell3_s_divides_r_conjunct_is_sharp():
             h = random_rootless_poly(spec, s, 4, rng)
             for r in range(1, 3 * s + 1):
                 form = CycloForm(spec, r, s, h)
-                dec = decompose(form, verify=False)
+                dec = decompose(form)
                 if not dec.g_verdict(2):
                     continue
                 expected = r % s == 0
@@ -646,7 +660,7 @@ def test_failed_conjunct_and_cached_g_verdict_match_predict_from(q):
                 dec = decompose(base.with_r(r))
                 for m2 in range(1, dec.ell + 1):
                     assert (dec.g_verdict(m2)
-                            == check_m_to_1(dec.g_mapping(), m2).verdict)
+                            == check_m_to_1(g_mapping(dec), m2).verdict)
                 assert failed_conjunct(dec, 0)
                 assert failed_conjunct(dec, (dec.ell + 1) * dec.m1) == 2
                 for m in range(1, dec.ell * dec.m1 + 1):
@@ -657,6 +671,43 @@ def test_failed_conjunct_and_cached_g_verdict_match_predict_from(q):
                         assert pred.failed.startswith("g is ")
                     else:
                         assert pred.failed == texts.get(failed)
+
+
+@pytest.mark.parametrize("q", sorted(SMALL_FIELDS))
+def test_reduction_chunks_match_one_form_at_a_time(q, monkeypatch):
+    # the engine's codes, oracle verdicts and decompositions against
+    # decompose, the rule on it and the one-form oracle, at a shuffled list
+    # of (r, m) pairs, with chunks of one, two and three forms
+    spec = build_field(*SMALL_FIELDS[q])
+    rng = random.Random(f"engine-{q}")
+    for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+        forms = [random_rootless_form(spec, s, 4, rng) for _ in range(3)]
+        rs = rng.sample(range(1, 2 * s + 2), min(4, 2 * s + 1))
+        pairs = [(r, m) for r in rs
+                 for m in range(1, (q - 1) // s * math.gcd(r, s) + 1)]
+        rng.shuffle(pairs)
+        assert list(reduction_chunks(spec, s, [], pairs)) == []
+        for per_chunk in (1, 2, 3):
+            monkeypatch.setattr(cyclotomic, "REDUCTION_CELLS",
+                                per_chunk * len(rs) * (q - 1))
+            reds = list(reduction_chunks(spec, s, forms, pairs))
+            assert [red.form for red in reds] == forms
+            for red in reds:
+                decs = {r: decompose(red.form.with_r(r)) for r in rs}
+                assert red.decompositions().keys() == decs.keys()
+                for r, dec in red.decompositions().items():
+                    want = decs[r]
+                    assert (dec.form.r, dec.m1, dec.r1, dec.s1, dec.ell,
+                            dec.g_logs, dec.g_census) == (
+                        r, want.m1, want.r1, want.s1, want.ell, want.g_logs,
+                        want.g_census)
+                for i, (r, m) in enumerate(pairs):
+                    assert red.codes[i] == failed_conjunct(decs[r], m)
+                    assert red.observed[i] == brute_verdict_star(
+                        decs[r].form, m)
+                assert red.misses == [i for i, code in enumerate(red.codes)
+                                      if (code == 0) != red.observed[i]]
+
 
 ORACLE_FIELDS = {"F13": (13,), "F16": (2, 4), "F25": (5, 2), "F27": (3, 3),
                  "F29": (29,), "F49": (7, 2), "F64": (2, 6), "F64b": F64}
@@ -675,7 +726,7 @@ def test_star_censuses_match_star_fibers(name):
               for _ in range(3)]
         f_logs, f_census = star_censuses(spec, s, hs, range(1, 2 * s + 1))
         bases = [CycloForm(spec, 1, s, h) for h in hs]
-        g_logs, g_census = g_censuses(bases, 2 * s)
+        g_logs, g_census = g_censuses(bases, range(1, 2 * s + 1))
         column = [[rng.randrange(1, 2 * s + 1)] for _ in hs]
         col_logs, col_census = star_censuses(spec, s, hs, column)
         assert col_logs.shape == (len(hs), 1, q - 1)
@@ -738,6 +789,5 @@ def test_decompose_and_permutes_field_read_the_oracle():
     assert len(set(hlogs_f(form))) < 12
     assert permutes_field(form)
     assert brute_verdict_star(form, 1)
-    decompose(form, verify=False)
     with pytest.raises(RuntimeError):
         decompose(form)

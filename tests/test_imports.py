@@ -1,4 +1,5 @@
-"""Every module-level import of a `mto1` module is used by that module."""
+"""Every module-level import of a `mto1` module or a test file is used by
+that file."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ import mto1
 
 MODULES = sorted(p for p in Path(mto1.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source):
@@ -32,6 +34,7 @@ def test_the_check_sees_an_unused_import():
     assert unused_imports(source) == [(1, "math"), (3, "a")]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: (
+    p.name if p in MODULES else f"tests/{p.name}"))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
