@@ -3,8 +3,9 @@ theorem families over parameter grids, search for m-to-1 forms, and count
 m-to-1 self-maps.
 
 Exit codes: 0 success (and, for verify, zero disagreements); 1 verify found
-disagreements, or a search hit failed re-verification; 2 parse failure,
-or a verify option the family does not declare or below its floor;
+disagreements, or a search hit failed re-verification; 2 parse failure, a
+verify option the family does not declare or below its floor, or an --out or
+--csv path that cannot be opened for writing (opened before any work runs);
 3 unsupported scale; 4 search budget exceeded; 5 verify ran zero checks (a
 grid record counts its params.checked, any other record that is not skipped
 counts one); 6 a verify evaluator crashed (one line on stderr names the
@@ -14,14 +15,15 @@ evaluator, its params and the exception).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import itertools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .criteria import HypothesisError
 from .galois import FieldError, Poly, ScaleError, eval_powers, parse_field
-from .harness import FAMILIES, EvaluatorError, VerifyJob, run_job
+from .harness import (FAMILIES, EvaluatorError, VerifyJob, canonical_json,
+                      json_encoder, run_job)
 from .multiplicity import (ENUMERATION_MAX_Q, IndexMapping,
                            admissible_m_set, check_m_to_1,
                            count_by_enumeration, count_formula,
@@ -80,21 +82,90 @@ def _pick(positional, flagged, what):
     return value
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+# json's text for a value of exactly one of these types (a float through the
+# C encoder, for NaN and the infinities)
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                float: canonical_json, bool: _CONSTANTS.__getitem__,
+                type(None): _CONSTANTS.__getitem__}
+_BATCH = 1 << 12  # parts joined per write to the sinks
+
+
+def _key_text(key):
+    """A dict key, converted and quoted as json does."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(canonical_json(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
+
+
+def write_json(obj, sinks):
+    """Write json.dumps(obj, indent=2, sort_keys=True, default=str) and a
+    newline to every sink, byte for byte.  Containers of exact scalars are
+    stdlib C encoder calls; only containers holding containers are walked
+    here, and their items reach the sinks in batches of about _BATCH parts,
+    each encoded once for all sinks."""
+    parts, flat_encoders, key_heads = [], {}, {}
+
+    def flush():
+        text = "".join(parts)
+        parts.clear()
+        for sink in sinks:
+            sink.write(text)
+
+    def walk(o, level):
+        if not isinstance(o, (list, tuple, dict)):
+            parts.append(canonical_json(o))  # json's rules, default=str too
+            return
+        is_dict = isinstance(o, dict)
+        brackets = "{}" if is_dict else "[]"
+        if not o:
+            parts.append(brackets)
+            return
+        newline = "\n" + "  " * (level + 1)
+        close = "\n" + "  " * level + brackets[1]
+        if set(map(type, o.values() if is_dict else o)) <= _SCALAR_TEXT.keys():
+            if level not in flat_encoders:
+                flat_encoders[level] = json_encoder("," + newline)
+            text = "".join(flat_encoders[level](o, 0))
+            parts.extend((brackets[0] + newline, text[1:-1], close))
+            return
+        sep, comma = brackets[0] + newline, "," + newline
+        for item in sorted(o.items()) if is_dict else o:
+            if is_dict:
+                key, item = item
+                head = key_heads.get(key)
+                if head is None:
+                    head = _key_text(key) + ": "
+                    if type(key) is str:  # True == 1: cache str keys only
+                        key_heads[key] = head
+                sep += head
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                parts.append(sep)
+                walk(item, level + 1)
+            else:
+                parts.append(sep + text(item))
+            sep = comma
+            if len(parts) >= _BATCH:
+                flush()
+        parts.append(close)
+
+    walk(obj, 0)
+    parts.append("\n")
+    flush()
+
+
 def _emit(payload, args):
-    """Write the payload as JSON to --out, and print it under --json; the
-    indent encoder's chunks, a string per token, are joined in batches.
-    Without either flag nothing is encoded."""
-    if not (args.json or args.out):
-        return
-    chunks = json.JSONEncoder(indent=2, sort_keys=True,
-                              default=str).iterencode(payload)
-    text = "".join(iter(lambda: "".join(itertools.islice(chunks, 1 << 14)),
-                        ""))
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    """Write the payload's JSON text to the open --out file and, under
+    --json, to stdout.  Without either flag nothing is encoded."""
+    sinks = [args.out] if args.out else []
     if args.json:
-        print(text)
+        sinks.append(sys.stdout)
+    if sinks:
+        write_json(payload, sinks)
 
 
 def cmd_analyze(args):
@@ -160,8 +231,8 @@ def _disagreement(rec):
     failed checks (its observed list) or a plain record's two verdicts."""
     detail = (rec["observed"] if rec["predicted"] == "all-agree"
               else {"predicted": rec["predicted"], "observed": rec["observed"]})
-    return (f"DISAGREEMENT: {json.dumps(rec['params'], sort_keys=True)} "
-            f"{json.dumps(detail, sort_keys=True, default=str)}")
+    return (f"DISAGREEMENT: {canonical_json(rec['params'])} "
+            f"{canonical_json(detail)}")
 
 
 def cmd_verify(args):
@@ -195,18 +266,15 @@ def _checks(report):
                if not rec["skipped"])
 
 
-def _write_csv(report, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["evaluator", "params", "predicted", "observed",
-                         "agree", "skipped"])
-        for rec in report["records"]:
-            writer.writerow([
-                rec["evaluator"],
-                json.dumps(rec["params"], sort_keys=True, default=str),
-                json.dumps(rec["predicted"], sort_keys=True, default=str),
-                json.dumps(rec["observed"], sort_keys=True, default=str),
-                rec["agree"], rec["skipped"] or ""])
+def _write_csv(report, fh):
+    writer = csv.writer(fh)
+    writer.writerow(["evaluator", "params", "predicted", "observed", "agree",
+                     "skipped"])
+    for rec in report["records"]:
+        writer.writerow([rec["evaluator"], canonical_json(rec["params"]),
+                         canonical_json(rec["predicted"]),
+                         canonical_json(rec["observed"]), rec["agree"],
+                         rec["skipped"] or ""])
 
 
 def cmd_search(args):
@@ -328,11 +396,28 @@ def build_parser():
     return parser
 
 
+def _open_outputs(args, stack):
+    """Replace each --out and --csv path with its file, opened for writing,
+    so that an unwritable path fails before any work runs."""
+    for flag in ("out", "csv"):
+        path = getattr(args, flag, None)
+        if not path:
+            continue
+        try:
+            fh = open(path, "w", newline="" if flag == "csv" else None)
+        except OSError as err:
+            raise ValueError(f"cannot write --{flag} {path!r}: "
+                             f"{err.strerror or err}") from None
+        setattr(args, flag, stack.enter_context(fh))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        with contextlib.ExitStack() as stack:
+            _open_outputs(args, stack)
+            return args.fn(args)
     except EvaluatorError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CRASH

@@ -11,12 +11,12 @@ stable across processes, unlike hash()).
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from multiprocessing import Pool, cpu_count
 from typing import Callable, NamedTuple
 
@@ -1034,6 +1034,22 @@ class EvaluatorError(RuntimeError):
     the error pickles back from a pool worker whatever the original was."""
 
 
+def json_encoder(item_separator):
+    """The stdlib C encoder under json.dumps(sort_keys=True, default=str)'s
+    rules, with no circular check; a call enc(obj, 0) returns a list of
+    text."""
+    return c_make_encoder(None, str, encode_basestring_ascii, None, ": ",
+                          item_separator, True, False, True)
+
+
+_CANONICAL = json_encoder(", ")
+
+
+def canonical_json(obj):
+    """json.dumps(obj, sort_keys=True, default=str), from one encoder."""
+    return "".join(_CANONICAL(obj, 0))
+
+
 def _run_item(item):
     name, params = item
     t0 = time.perf_counter()
@@ -1043,10 +1059,8 @@ def _run_item(item):
         records = [_record(dict(params), None, None,
                            skipped=f"hypothesis: {err}")]
     except Exception as err:
-        raise EvaluatorError(
-            f"evaluator {name} failed on "
-            f"{json.dumps(params, sort_keys=True, default=str)}: {err!r}"
-        ) from err
+        raise EvaluatorError(f"evaluator {name} failed on "
+                             f"{canonical_json(params)}: {err!r}") from err
     elapsed = time.perf_counter() - t0
     for rec in records:
         rec["evaluator"] = name
@@ -1065,9 +1079,7 @@ def run_job(job):
     else:
         chunks = [_run_item(it) for it in items]
     records = [rec for chunk in chunks for rec in chunk]
-    records.sort(key=lambda r: (r["evaluator"],
-                                json.dumps(r["params"], sort_keys=True,
-                                           default=str)))
+    records.sort(key=lambda r: (r["evaluator"], canonical_json(r["params"])))
     agreements = sum(1 for r in records if r["agree"] is True)
     disagreements = sum(1 for r in records if r["agree"] is False)
     skipped = sum(1 for r in records if r["skipped"])

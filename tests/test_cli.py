@@ -145,12 +145,31 @@ def test_plain_output_encodes_no_json(capsys, monkeypatch, argv):
 
     def refuse(*args, **kwargs):
         raise AssertionError("JSON encoded for a plain run")
-    monkeypatch.setattr(cli, "json", argparse.Namespace(
-        JSONEncoder=refuse, dumps=json.dumps))
+    monkeypatch.setattr(cli, "write_json", refuse)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and out == want
     with pytest.raises(AssertionError, match="plain run"):
         cli.main([*argv, "--json"])
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("analyze", "5^1", "0,1,0,1"), "--out"),
+    (("search", "13^1", "--s", "4", "--deg", "2", "--m", "3"), "--out"),
+    (("count", "--q", "2..4"), "--out"),
+    (("verify", "count", "--q", "2..3"), "--out"),
+    (("verify", "count", "--q", "2..3"), "--csv"),
+])
+def test_unwritable_output_path_exits_2_before_any_work(capsys, monkeypatch,
+                                                        tmp_path, argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the output path was opened")
+    for name in ("eval_powers", "search_forms", "count_formula", "run_job"):
+        monkeypatch.setattr(cli, name, refuse)
+    path = str(tmp_path / "missing" / "x.json")
+    code, out, err = run_cli(capsys, *argv, flag, path)
+    assert code == cli.EXIT_PARSE and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err and path in err
 
 
 def test_count_cli(capsys):

@@ -1,7 +1,9 @@
 """Every module-level import of a `mto1` module or a test file is used by
-that file."""
+that file, and `mto1` imports only the standard library and numpy, its one
+dependency in pyproject.toml."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -38,3 +40,29 @@ def test_the_check_sees_an_unused_import():
     p.name if p in MODULES else f"tests/{p.name}"))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def foreign_imports(source, allowed=frozenset({"numpy"})):
+    """Top-level packages that any import in the source names, other than
+    the standard library's, the allowed ones and relative imports."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module)
+    return sorted({name.split(".")[0] for name in names}
+                  - sys.stdlib_module_names - allowed)
+
+
+def test_the_check_sees_a_foreign_import():
+    source = ("import json, numpy as np\nfrom . import cli\n"
+              "from json.encoder import c_make_encoder\n"
+              "def f():\n    import orjson\n    from scipy import linalg\n")
+    assert foreign_imports(source) == ["orjson", "scipy"]
+
+
+@pytest.mark.parametrize("path", MODULES + [Path(mto1.__file__)],
+                         ids=lambda p: p.name)
+def test_package_imports_only_the_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []
