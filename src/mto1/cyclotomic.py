@@ -14,7 +14,8 @@ outside.  Every family, the squares of `decompose` and `reduction_chunks`
 (the one engine of the main, case-list and monomial grids), `permutes_field`
 and search's re-verification read it; `star_verdicts` answers many forms at
 once, and `star_fibers` and `brute_verdict_star` are its one-form views.
-`hlogs` is read only by the prediction side: `CycloForm`, `with_r`,
+`hlogs` comes from CycloForm's scan of h or from random_rootless_forms'
+bulk scan (u_ell_values), and only the prediction side reads it: `with_r`,
 `decompose`, `g_censuses`, `monomial_predict` and `infer_monomial_params`.
 """
 
@@ -42,7 +43,7 @@ class CycloForm:
 
     __slots__ = ("spec", "r", "s", "h", "ell", "m1", "r1", "s1", "hlogs")
 
-    def __init__(self, spec, r, s, h):
+    def __init__(self, spec, r, s, h, hlogs=None):
         q1 = spec.q - 1
         _check_exponent(r)
         if not isinstance(s, int) or s < 1 or q1 % s:
@@ -52,13 +53,14 @@ class CycloForm:
         if h.is_zero:
             raise HypothesisError("h must be nonzero")
         ell = q1 // s
-        hlogs = []
-        for j in range(ell):
-            v = h.eval_index(spec.exp_at(j * s))
-            if v == 0:
-                witness = FieldElement(spec, spec.exp_at(j * s))
-                raise HypothesisError(f"h has the root {witness} in U_{ell}")
-            hlogs.append(spec.log[v])
+        if hlogs is None:  # h's dlogs at u_j = g^(j*s), unless a caller scanned
+            hlogs = []
+            for j in range(ell):
+                v = h.eval_index(spec.exp_at(j * s))
+                if v == 0:
+                    root = FieldElement(spec, spec.exp_at(j * s))
+                    raise HypothesisError(f"h has the root {root} in U_{ell}")
+                hlogs.append(spec.log[v])
         self.spec = spec
         self.s = s
         self.h = h
@@ -328,8 +330,12 @@ def reduction_chunks(spec, s, forms, pairs):
     q1 = spec.q - 1
     ell = q1 // s
     rs = sorted({r for r, _ in pairs})
+    # r and r + q-1 give one f on F_q^*: the oracle takes each class once
+    least = {r % q1: r for r in reversed(rs)}
+    oracle_rs = sorted(least.values())
     r_at, ms = np.array(pairs).T
     k = np.searchsorted(rs, r_at)
+    ko = np.searchsorted(oracle_rs, [least[r % q1] for r in rs])[k]
     # m2 = 0 only where m < m1: conjunct 1 fails there whatever g's census
     m2s = np.maximum(ms // np.gcd(r_at, s), 1)
     if_g, if_not = (np.array([conjunct_rule(s, ell, math.gcd(r, s), m,
@@ -339,9 +345,10 @@ def reduction_chunks(spec, s, forms, pairs):
     for lo in range(0, len(forms), per_chunk):
         chunk = forms[lo:lo + per_chunk]
         g_logs, g_census = g_censuses(chunk, rs)
-        f_logs, f_census = rootless_censuses(spec, s, [f.h for f in chunk], rs)
+        f_logs, f_census = rootless_censuses(spec, s, [f.h for f in chunk],
+                                             oracle_rs)
         check_square(chunk[0].with_r(rs[0]), g_logs[:, 0], f_logs[:, 0])
-        observed = fibers_verdict(f_census[:, k, ms], q1, ms)
+        observed = fibers_verdict(f_census[:, ko, ms], q1, ms)
         del f_logs, f_census  # only the verdicts outlive the oracle call
         codes = np.where(fibers_verdict(g_census[:, k, m2s], ell, m2s),
                          if_g, if_not)
@@ -629,20 +636,62 @@ def transfer_equivalence(form, M, eps, t, k):
 
 # -- randomized rootless h for verification grids ---------------------------------
 
+def u_ell_values(spec, s, coeffs):
+    """values[i, j] = h_i(g^(j*s)), j < ell, as indices, for the rows of
+    coeffs (h_i's coefficient indices, low to high): one numpy Horner pass by
+    exp/log lookups and FieldSpec.add_arrays, never the oracle's routine."""
+    q1, coeffs = spec.q - 1, np.asarray(coeffs)
+    exp, log = spec.arrays()
+    # log 0 -> 2(q-1): past exp's two periods, into zeros, so 0 * u = 0
+    exp, log = np.append(exp, 0 * exp[:q1]), np.where(log < 0, 2 * q1, log)
+    ulogs = np.arange(0, q1, s)
+    values = np.repeat(coeffs[:, -1:], len(ulogs), axis=1)
+    for c in coeffs.T[-2::-1]:
+        values = spec.add_arrays(exp[log[values] + ulogs], c[:, None])
+    return values
+
+
 def random_rootless_form(spec, s, max_degree, rng):
     """The form x * h(x^s) for a random h of degree <= max_degree with no
     roots in U_((q-1)/s); CycloForm's own scan is the rootless test."""
-    q1 = spec.q - 1
-    if not isinstance(s, int) or s < 1 or q1 % s:
-        raise ValueError(f"s = {s} must divide q-1 = {q1}")
-    if max_degree < 0:  # h = 0 alone, which no form takes
-        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    random_rootless_forms(spec, s, max_degree, rng, 0)  # checks s and degree
     while True:
         h = Poly(spec, [rng.randrange(spec.q) for _ in range(max_degree + 1)])
         try:
             return CycloForm(spec, 1, s, h)
         except HypothesisError:
             continue
+
+
+def random_rootless_forms(spec, s, max_degree, rng, count):
+    """The forms of count successive random_rootless_form calls, with rng
+    left as they leave it: each pass draws no more candidates than are still
+    needed, at most REDUCTION_CELLS (candidate, point) cells, for one scan."""
+    q1, width, log = spec.q - 1, max_degree + 1, spec.arrays()[1]
+    if not isinstance(s, int) or s < 1 or q1 % s:
+        raise ValueError(f"s = {s} must divide q-1 = {q1}")
+    if max_degree < 0:  # h = 0 alone, which no form takes
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
+    forms = []
+    while len(forms) < count:
+        n = min(count - len(forms), max(1, REDUCTION_CELLS * s // q1))
+        drawn = np.array([rng.randrange(spec.q) for _ in range(n * width)],
+                         dtype=np.int64).reshape(n, width)
+        values = u_ell_values(spec, s, drawn)
+        ok = values.all(axis=1)
+        forms += [CycloForm(spec, 1, s, Poly(spec, c), hlogs) for c, hlogs
+                  in zip(drawn[ok].tolist(), log[values[ok]].tolist())]
+    return forms
+
+
+def count_rootless(spec, s, max_degree):
+    """The number of h of degree <= max_degree with no root on U_ell: every
+    coefficient vector through u_ell_values, REDUCTION_CELLS cells a pass."""
+    q, place = spec.q, spec.q ** np.arange(max_degree + 1, dtype=np.int64)
+    rows, total = max(1, REDUCTION_CELLS * s // (q - 1)), q ** (max_degree + 1)
+    return sum(int(u_ell_values(spec, s, np.arange(
+        lo, min(lo + rows, total))[:, None] // place % q).all(axis=1).sum())
+        for lo in range(0, total, rows))
 
 
 def random_rootless_poly(spec, s, max_degree, rng):

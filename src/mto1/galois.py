@@ -136,8 +136,8 @@ class FieldSpec:
     Immutable after construction; safe to share across threads and processes.
     """
 
-    __slots__ = ("p", "n", "q", "modulus", "exp", "log", "_gen", "_modmask",
-                 "_arrays", "_zech", "__weakref__")
+    __slots__ = ("p", "n", "q", "modulus", "exp", "log", "tokens", "_gen",
+                 "_modmask", "_arrays", "_zech", "_zech_array", "__weakref__")
 
     def __init__(self, p, n=1, modulus=None):
         if not is_prime(p):
@@ -161,7 +161,9 @@ class FieldSpec:
                 raise FieldError(f"modulus {list(modulus)} is reducible over GF({p})")
         self.modulus = modulus
         self._modmask = _coeffs_to_idx(modulus, p)  # the modulus as an index
-        self._arrays = self._zech = None
+        self._arrays = self._zech = self._zech_array = None
+        self.tokens = _Tokens()  # format_element's token by index, on demand
+        self.tokens.spec = self
         self._build_tables()
 
     # -- raw arithmetic used only while bootstrapping the tables --
@@ -254,13 +256,27 @@ class FieldSpec:
         z = (self._zech or self._build_zech())[(log[j] - li) % (self.q - 1)]
         return 0 if z < 0 else self.exp[li + z]
 
+    def add_arrays(self, a, b):
+        """add on numpy index arrays a and b, broadcast together."""
+        if self.p == 2:
+            return a ^ b
+        if self.n == 1:
+            return (a + b) % self.p
+        exp, log = self.arrays()
+        self._zech or self._build_zech()
+        la, lb = log[a], log[b]
+        z = self._zech_array[(lb - la) % (self.q - 1)]
+        out = np.where(z < 0, 0, exp[la + z])  # stray entries where a or b = 0
+        return np.where(la < 0, b, np.where(lb < 0, a, out))
+
     def _build_zech(self):
-        """Z[k] = log(1 + g^k), -1 where 1 + g^k = 0.  Adding 1 changes only
-        the lowest base-p digit of an index."""
+        """Z[k] = log(1 + g^k), -1 where 1 + g^k = 0, as an array and as a
+        list.  Adding 1 changes only the lowest base-p digit of an index."""
         q1, p = self.q - 1, self.p
         exp, log = self.arrays()
         low = exp[:q1] % p
-        self._zech = log[exp[:q1] - low + (low + 1) % p].tolist()
+        self._zech_array = log[exp[:q1] - low + (low + 1) % p]
+        self._zech = self._zech_array.tolist()
         return self._zech
 
     def neg(self, i):
@@ -474,6 +490,12 @@ def parse_element(spec, token):
     except ValueError:
         raise FieldError(f"bad element token {token!r}") from None
     return spec.element(c)
+
+
+class _Tokens(dict):
+    def __missing__(self, index):
+        token = self[index] = format_element(FieldElement(self.spec, index))
+        return token
 
 
 def format_element(x):
@@ -734,8 +756,8 @@ class Poly:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        return ",".join(
-            format_element(FieldElement(self.spec, c)) for c in self.coeffs)
+        tokens = self.spec.tokens
+        return ",".join([tokens[c] for c in self.coeffs])
 
     def __repr__(self):
         return f"Poly({self.spec!r}, [{self}])"

@@ -27,7 +27,8 @@ from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
 from .cyclotomic import (CycloForm, conjunct_text, decompose,
                          hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
                          lift_from_permutation, monomial_predict,
-                         permutes_field, predict_from, random_rootless_form,
+                         count_rootless, permutes_field, predict_from,
+                         random_rootless_form, random_rootless_forms,
                          random_rootless_poly, reduction_chunks,
                          rootless_censuses, small_ell_predict,
                          small_m_predict, star_census, transfer_equivalence)
@@ -164,8 +165,9 @@ def _eval_main_grid(params):
     rng = _rng(params["seed"], "main", spec.q, s)
     drawn = {}
     while len(drawn) < params["hcount"]:
-        form = random_rootless_form(spec, s, params["degmax"], rng)
-        drawn.setdefault(form.h.coeffs, form)
+        for form in random_rootless_forms(spec, s, params["degmax"], rng,
+                                          params["hcount"] - len(drawn)):
+            drawn.setdefault(form.h.coeffs, form)
     records = []
     for red in reduction_chunks(spec, s, list(drawn.values()), pairs):
         tally = _Tally()
@@ -209,8 +211,8 @@ def _case_list_grid(params, predict, ms):
     s = params["s"]
     ell = (spec.q - 1) // s
     rng = _rng(params["seed"])
-    forms = [random_rootless_form(spec, s, params["degmax"], rng)
-             for _ in range(params["hcount"])]
+    forms = random_rootless_forms(spec, s, params["degmax"], rng,
+                                  params["hcount"])
     pairs = [(r, m) for r in range(1, 2 * s + 1)
              for m in ms(ell, math.gcd(r, s))]
     for red in reduction_chunks(spec, s, forms, pairs):
@@ -826,9 +828,17 @@ def _eval_criteria_batch(params):
 # ---------------------------------------------------------------------------
 
 def _main_items(o, seed):
+    """One item per (q, s) cell, which must hold hcount distinct rootless h:
+    q^d (q - ell) of degree <= d = degmax surely are, or the cell counts."""
+    d, hcount = o["degmax"], o["hcount"]
     for q in o["qs"]:
         fk = _field_key_for_q(q)
         for s in _divisors(q - 1):
+            if hcount > q ** d * (q - (q - 1) // s) and hcount > (
+                    have := count_rootless(_field(fk), s, d)):
+                raise ValueError(
+                    f"main cell q = {q}, s = {s} has {have} rootless h "
+                    f"of degree <= {d}, fewer than hcount = {hcount}")
             yield ("main_grid", {"field": fk, "s": s, "seed": seed,
                                  "hcount": o["hcount"], "degmax": o["degmax"],
                                  "mcap": o["mcap"]})

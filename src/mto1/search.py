@@ -22,7 +22,7 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .cyclotomic import conjunct_rule, star_censuses
-from .galois import Poly, format_element
+from .galois import Poly
 from .multiplicity import fibers_verdict
 
 
@@ -76,9 +76,7 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     if not rs:
         return []
     found = _kernel(spec, s, deg, rs)
-    # str(Poly)'s token for each element index, made once per query
-    tokens = [format_element(spec.from_index(i))
-              for i in range(q if found else 0)]
+    tokens = spec.tokens  # str(Poly)'s token per element index
     rows = max(1, CHUNK_CELLS // (q - 1))
     hits = []
     for lo in range(0, len(found), rows):

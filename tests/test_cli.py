@@ -4,8 +4,12 @@ import argparse
 import collections
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -352,6 +356,23 @@ def test_verify_choices_are_the_family_table():
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_every_family_builds_items_at_defaults(family):
     assert build_instances(VerifyJob(family))
+
+
+@pytest.mark.parametrize("degmax, hcount, have", [(0, 5, 4), (1, 10, 8)])
+def test_main_cell_with_too_few_rootless_h_exits_2(degmax, hcount, have):
+    # F_5 has 4 nonzero constants, and 8 h of degree <= 1 have no root on
+    # U_4: asking a cell for more distinct h once drew forever
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    run = subprocess.run(
+        [sys.executable, "-m", "mto1.cli", "verify", "main", "--q", "5",
+         "--hcount", str(hcount), "--grid", f"degmax={degmax};fixtures=0",
+         "--jobs", "1"], capture_output=True, text=True, timeout=60, env=env)
+    assert run.returncode == 2
+    assert not run.stdout
+    assert (f"q = 5, s = 1 has {have} rootless h of degree <= {degmax}, "
+            f"fewer than hcount = {hcount}") in run.stderr
 
 
 def _crash(params):

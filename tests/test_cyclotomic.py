@@ -3,6 +3,7 @@ monomial / h_d / lift specializations, all against brute-force scans."""
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -11,16 +12,18 @@ import pytest
 import mto1.cyclotomic as cyclotomic
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import (CycloForm, _row_censuses, brute_verdict_star,
-                             conjunct_rule, decompose, fq_bridge, g_censuses,
+                             conjunct_rule, count_rootless, decompose,
+                             fq_bridge, g_censuses,
                              hd_family_predict, hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
                              main_predict, monomial_predict, permutes_field,
                              predict_from, random_rootless_form,
-                             random_rootless_poly, reduction_chunks,
-                             rootless_censuses, small_ell_predict,
-                             small_m_predict, star_census, star_censuses,
-                             star_fibers, transfer_equivalence)
+                             random_rootless_forms, random_rootless_poly,
+                             reduction_chunks, rootless_censuses,
+                             small_ell_predict, small_m_predict, star_census,
+                             star_censuses, star_fibers, transfer_equivalence,
+                             u_ell_values)
 from mto1.galois import FieldElement, Poly, build_field
 from mto1.multiplicity import (IndexMapping, admissible_m_set, check_m_to_1,
                                fiber_census, sorted_row_censuses,
@@ -791,3 +794,100 @@ def test_decompose_and_permutes_field_read_the_oracle():
     assert brute_verdict_star(form, 1)
     with pytest.raises(RuntimeError):
         decompose(form)
+
+
+SCAN_FIELDS = {"F13": (13,), "F16": (2, 4), "F25": (5, 2), "F27": (3, 3),
+               "F49": (7, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FIELDS))
+def test_bulk_u_ell_scan_is_the_scalar_scan(name):
+    # u_ell_values against Poly.eval_index at every point of U_ell, for
+    # random h with and without roots there, at every s: the same values,
+    # and a form refuses a rooted h at the bulk scan's first root
+    spec = build_field(*SCAN_FIELDS[name])
+    q = spec.q
+    rng = random.Random(f"scan-{name}")
+    for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+        ell = (q - 1) // s
+        rows = [[rng.randrange(q) for _ in range(rng.randrange(1, 7))]
+                for _ in range(40)]
+        rows.append([0, 1])  # x: no root on U_ell
+        rows.append([spec.neg(1), 1])  # x - 1: a root at u_0 = 1
+        width = max(map(len, rows))
+        values = u_ell_values(spec, s, [r + [0] * (width - len(r))
+                                        for r in rows])
+        assert values.shape == (len(rows), ell)
+        for row, vals in zip(rows, values.tolist()):
+            h = Poly(spec, row)
+            assert vals == [h.eval_index(spec.exp_at(j * s))
+                            for j in range(ell)]
+            if all(vals):
+                assert CycloForm(spec, 1, s, h).hlogs == tuple(
+                    spec.log[v] for v in vals)
+            elif not h.is_zero:
+                root = FieldElement(spec, spec.exp_at(vals.index(0) * s))
+                with pytest.raises(HypothesisError,
+                                   match=re.escape(f"root {root} in")):
+                    CycloForm(spec, 1, s, h)
+
+
+@pytest.mark.parametrize("q", [9, 13, 16])
+def test_bulk_draw_is_successive_single_draws(q, monkeypatch):
+    # random_rootless_forms(..., n) returns the forms of n single draws and
+    # leaves the stream where they leave it, at count 1 and at a grid's
+    # hcount, in one pass and in passes of a few candidates
+    spec = build_field(*{9: (3, 2), 13: (13,), 16: (2, 4)}[q])
+    for cells in (cyclotomic.REDUCTION_CELLS, 3 * (q - 1)):
+        monkeypatch.setattr(cyclotomic, "REDUCTION_CELLS", cells)
+        for s in [d for d in range(1, q) if (q - 1) % d == 0]:
+            for count in (0, 1, 25):
+                bulk, single = (random.Random(f"bulk-{q}-{s}")
+                                for _ in range(2))
+                forms = random_rootless_forms(spec, s, 3, bulk, count)
+                want = [random_rootless_form(spec, s, 3, single)
+                        for _ in range(count)]
+                assert [(f.r, f.s, f.h, f.hlogs) for f in forms] == [
+                    (f.r, f.s, f.h, f.hlogs) for f in want]
+                assert bulk.getstate() == single.getstate()
+
+
+@pytest.mark.parametrize("s, max_degree, match", [
+    (5, 3, "must divide"), (0, 3, "must divide"), (2.0, 3, "must divide"),
+    (4, -1, "max_degree"), (4, -3, "max_degree")])
+def test_bulk_draw_refuses_before_drawing(s, max_degree, match):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=match):
+        random_rootless_forms(build_field(13), s, max_degree, rng, 5)
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize("q, d", [(5, 0), (5, 1), (7, 2), (9, 1), (8, 2)])
+def test_count_rootless_counts_every_h(q, d):
+    spec = build_field(*{5: (5,), 7: (7,), 9: (3, 2), 8: (2, 3)}[q])
+
+    def rootless(h, s):
+        return all(h.eval_index(spec.exp_at(j * s))
+                   for j in range((q - 1) // s))
+
+    for s in [e for e in range(1, q) if (q - 1) % e == 0]:
+        hs = [Poly(spec, [k // q ** i % q for i in range(d + 1)])
+              for k in range(q ** (d + 1))]
+        assert count_rootless(spec, s, d) == sum(
+            rootless(h, s) for h in hs)
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_FIELDS))
+def test_star_censuses_rows_repeat_with_period_q_minus_1(name):
+    # x^(q-1) = 1 on F_q^*, so the oracle's rows at r and r + q-1 agree:
+    # reduction_chunks computes each class once
+    spec = build_field(*SCAN_FIELDS[name])
+    q1 = spec.q - 1
+    rng = random.Random(f"period-{name}")
+    for s in (1, q1):
+        hs = [random_rootless_poly(spec, s, 3, rng) for _ in range(3)]
+        rs = [1, 2, q1 - 1, q1]
+        logs, census = star_censuses(spec, s, hs, rs + [r + q1 for r in rs])
+        assert (logs[:, :4] == logs[:, 4:]).all()
+        assert (census[:, :4] == census[:, 4:]).all()

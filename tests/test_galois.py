@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from mto1.galois import (FieldError, Poly, ScaleError, build_field,
+from mto1.galois import (FieldError, FieldSpec, Poly, ScaleError, build_field,
                          eval_powers, format_element, parse_element,
                          parse_field, poly_eval,
                          primitive_element, relative_trace, subfield_indices,
@@ -351,6 +352,27 @@ def test_zech_add_matches_digit_sums_on_every_pair(p, n):
     for i in range(spec.q):
         for j in range(spec.q):
             assert spec.add(i, j) == _digit_sum(spec, i, j), (i, j)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (13, 1), (3, 2), (5, 2), (3, 3)])
+def test_add_arrays_is_add_on_every_pair(p, n):
+    spec = build_field(p, n)
+    idx = np.arange(spec.q)
+    got = spec.add_arrays(idx[:, None], idx[None, :])
+    assert got.tolist() == [[spec.add(i, j) for j in range(spec.q)]
+                            for i in range(spec.q)]
+
+
+def test_poly_text_reads_a_lazy_token_memo():
+    # str(Poly) formats only the indices it meets, once each per field
+    spec = FieldSpec(2, 12)
+    h = Poly(spec, [0, 1, 5, 4095, 5])
+    assert str(h) == ",".join(format_element(spec.from_index(c))
+                              for c in h.coeffs)
+    assert sorted(spec.tokens) == [0, 1, 5, 4095]
+    assert str(Poly(spec, [7, 2, 1])) == (
+        f"g^{spec.log[7]},g^{spec.log[2]},1")
+    assert len(spec.tokens) == 6
 
 
 def test_zech_add_matches_digit_sums_on_random_pairs_3_8():
