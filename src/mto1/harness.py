@@ -840,7 +840,7 @@ def _main_items(o, seed):
                     f"main cell q = {q}, s = {s} has {have} rootless h "
                     f"of degree <= {d}, fewer than hcount = {hcount}")
             yield ("main_grid", {"field": fk, "s": s, "seed": seed,
-                                 "hcount": o["hcount"], "degmax": o["degmax"],
+                                 "hcount": hcount, "degmax": d,
                                  "mcap": o["mcap"]})
     if o["fixtures"]:
         yield ("main_fixture", {"field": _fkey(29), "r": 2, "s": 4,

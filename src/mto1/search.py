@@ -76,7 +76,8 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     if not rs:
         return []
     found = _kernel(spec, s, deg, rs)
-    tokens = spec.tokens  # str(Poly)'s token per element index
+    # str(Poly)'s tokens as a list, which indexes faster than the memo
+    tokens = [spec.tokens[i] for i in range(q if found else 0)]
     rows = max(1, CHUNK_CELLS // (q - 1))
     hits = []
     for lo in range(0, len(found), rows):
