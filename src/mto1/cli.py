@@ -18,6 +18,7 @@ import argparse
 import contextlib
 import csv
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .criteria import HypothesisError
@@ -101,13 +102,21 @@ def _key_text(key):
                     f"not {type(key).__name__}")
 
 
+class _FlatEncoders(dict):
+    """The C encoder of a flat container at each level, made on first use."""
+
+    def __missing__(self, level):
+        encoder = self[level] = json_encoder(",\n" + "  " * (level + 1))
+        return encoder
+
+
 def write_json(obj, sinks):
     """Write json.dumps(obj, indent=2, sort_keys=True, default=str) and a
     newline to every sink, byte for byte.  Containers of exact scalars are
     stdlib C encoder calls; only containers holding containers are walked
     here, and their items reach the sinks in batches of about _BATCH parts,
     each encoded once for all sinks."""
-    parts, flat_encoders, key_heads = [], {}, {}
+    parts, flat_encoders, key_heads = [], _FlatEncoders(), {}
 
     def flush():
         text = "".join(parts)
@@ -126,13 +135,29 @@ def write_json(obj, sinks):
             return
         newline = "\n" + "  " * (level + 1)
         close = "\n" + "  " * level + brackets[1]
-        if set(map(type, o.values() if is_dict else o)) <= _SCALAR_TEXT.keys():
-            if level not in flat_encoders:
-                flat_encoders[level] = json_encoder("," + newline)
+        types = set(map(type, o.values() if is_dict else o))
+        if types <= _SCALAR_TEXT.keys():
             text = "".join(flat_encoders[level](o, 0))
             parts.extend((brackets[0] + newline, text[1:-1], close))
             return
         sep, comma = brackets[0] + newline, "," + newline
+        if not is_dict and types == {dict} and all(o) and all(map(
+                _SCALAR_TEXT.__contains__,
+                map(type, chain.from_iterable(map(dict.values, o))))):
+            # flat dicts, _BATCH // 4 (a walked one's parts) per encoder text:
+            # it escapes every control character in a string, so a raw newline
+            # ends a separator, and "},\n" + inner + "{" joins two items
+            inner, step = newline + "  ", max(1, _BATCH // 4)
+            for lo in range(0, len(o), step):
+                text = "".join(flat_encoders[level + 1](o[lo:lo + step], 0))
+                parts.append(sep + "{" + inner + text[2:-2].replace(
+                    "}," + inner + "{", newline + "}" + comma + "{" + inner)
+                    + newline + "}")
+                sep = comma
+                if lo + step < len(o):
+                    flush()
+            parts.append(close)
+            return
         for item in sorted(o.items()) if is_dict else o:
             if is_dict:
                 key, item = item

@@ -181,22 +181,25 @@ def star_censuses(spec, s, hs, rs):
     coefficient indices at each x = g^k (the independent oracle: it reads
     neither CycloForm.hlogs nor the identity x^s = u_(k mod ell)); h(g^(k*s))
     comes from galois.eval_powers and log f(g^k) = r*k + log h(g^(k*s)).
+    hs is a list of Polys (padded here) or a 2-D array of coefficient rows.
     rs broadcasts against hs: a list gives every h every r, a column (one
     row [r] per h) gives each h its own r.  Returns (logs, census):
     logs[i, j, k] = log f(g^k) for hs[i] and the j-th r of its row, and
     census[i, j, c] the number of image points with a fiber of size c
     (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*."""
     q1 = spec.q - 1
-    width = max(len(h.coeffs) for h in hs)
-    values = eval_powers(spec, [h.coeffs + (0,) * (width - len(h.coeffs))
-                                for h in hs], s)
+    if not isinstance(hs, np.ndarray):
+        width = max(len(h.coeffs) for h in hs)
+        hs = np.array([h.coeffs + (0,) * (width - len(h.coeffs)) for h in hs])
+    values = eval_powers(spec, hs, s)
     if not values.all():
         i, k0 = np.argwhere(values == 0)[0]
         root = FieldElement(spec, spec.exp_at(int(k0) * s))
-        raise HypothesisError(
-            f"h = {hs[i]} has the root {root} in U_{q1 // s}")
+        raise HypothesisError(f"h = {Poly(spec, hs[i].tolist())} has the "
+                              f"root {root} in U_{q1 // s}")
     logs = (np.asarray(rs)[..., None] * np.arange(q1)
-            + spec.arrays()[1][values][:, None, :]) % q1
+            + spec.arrays()[1][values][:, None, :])
+    logs -= logs // q1 * q1  # numpy's % by a scalar is ~3x slower than //
     return logs, _row_censuses(logs, q1)
 
 

@@ -555,14 +555,17 @@ def poly_eval(f, x):
 def eval_powers(spec, coeffs, step, count=None):
     """out[i, k] = h_i(g^(k*step)), k < count (default q-1), as indices; row i
     of coeffs holds h_i's coefficient indices low to high.  Terms are exp/log
-    lookups, and their sum is taken digit by digit in base p, in numpy."""
+    lookups: log c plus the small (power, k) table of log u^(j*k) mod q-1
+    stays below 2(q-1), inside the doubled exp table, so no multiply or mod
+    touches the (h, power, k) array; the sum is digit by digit in base p."""
     q1, p = spec.q - 1, spec.p
     exp, log = spec.arrays()
     coeffs = np.asarray(coeffs, dtype=np.int64)
     j = np.flatnonzero(coeffs.any(axis=0))  # powers with a nonzero term
     coeffs = coeffs[:, j]
-    terms = exp[(log[coeffs][..., None] + (j * step % q1)[:, None]
-                 * np.arange(q1 if count is None else count)) % q1]
+    unit_logs = ((j * step % q1)[:, None]
+                 * np.arange(q1 if count is None else count) % q1)
+    terms = exp.take(log[coeffs][..., None] + unit_logs.astype(np.int32))
     terms[coeffs == 0] = 0  # log[0] = -1 looked up a stray entry
     if p == 2:
         return np.bitwise_xor.reduce(terms, axis=1)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .criteria import HypothesisError
 from .cyclotomic import conjunct_rule, star_censuses
-from .galois import Poly
 from .multiplicity import fibers_verdict
 
 
@@ -76,27 +75,36 @@ def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     if not rs:
         return []
     found = _kernel(spec, s, deg, rs)
-    # str(Poly)'s tokens as a list, which indexes faster than the memo
+    # h's text is one sum of token rows: c0's token, ",token" (at q + c)
+    # for each later c, and "" (at 2q) for the trailing zeros str(Poly) drops
     tokens = [spec.tokens[i] for i in range(q if found else 0)]
+    text = np.array(tokens + [f",{t}" for t in tokens] + [""], dtype=object)
     rows = max(1, CHUNK_CELLS // (q - 1))
     hits = []
     for lo in range(0, len(found), rows):
-        chunk = [(Poly(spec, coeffs), r) for coeffs, r in found[lo:lo + rows]]
-        hits += [{"r": r, "h": ",".join([tokens[c] for c in h.coeffs]), "m": m,
-                  "m1": math.gcd(r, s), "verified": ok}
-                 for (h, r), ok in zip(chunk, _reverify(spec, s, m, chunk))]
+        coeffs, r_col = map(np.array, zip(*found[lo:lo + rows]))
+        verdicts = _reverify(spec, s, m, coeffs, r_col[:, None])
+        kept = np.logical_or.accumulate(coeffs[:, :0:-1] != 0, axis=1)
+        coeffs[:, 1:] = np.where(kept[:, ::-1], coeffs[:, 1:] + q, 2 * q)
+        r_col = r_col.tolist()
+        m1 = {r: math.gcd(r, s) for r in set(r_col)}
+        hits += [{"r": r, "h": h, "m": m, "m1": m1[r], "verified": ok}
+                 for r, h, ok in zip(r_col, text[coeffs].sum(axis=1).tolist(),
+                                     verdicts)]
     return hits
 
 
-def _reverify(spec, s, m, found):
-    """The oracle's m-to-1 verdict for each (h, r) in found, in one call; if
-    some h has a root on U_ell, hit by hit, and a hit with a root fails."""
+def _reverify(spec, s, m, coeffs, r_col):
+    """The oracle's m-to-1 verdict for each h (a row of coeffs) with its r
+    (a row of r_col), in one call; if some h has a root on U_ell, for each
+    half, so that a hit with a root fails alone in about 2 log2(rows) calls."""
     try:
-        census = star_censuses(spec, s, [h for h, _ in found],
-                               [[r] for _, r in found])[1]
+        census = star_censuses(spec, s, coeffs, r_col)[1]
     except HypothesisError:
-        return [False] if len(found) == 1 else [
-            ok for hit in found for ok in _reverify(spec, s, m, [hit])]
+        half = len(coeffs) // 2
+        return [False] if not half else (
+            _reverify(spec, s, m, coeffs[:half], r_col[:half])
+            + _reverify(spec, s, m, coeffs[half:], r_col[half:]))
     return fibers_verdict(census[:, 0, m], spec.q - 1, m).tolist()
 
 

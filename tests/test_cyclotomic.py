@@ -751,11 +751,34 @@ def test_star_censuses_match_star_fibers(name):
                         if c and n} == dec.g_census
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_star_censuses_read_polys_and_their_padded_rows_alike(name):
+    # search hands the oracle coefficient rows; every other caller a list of
+    # Polys, padded into those rows: both give one result, zero columns too
+    spec = build_field(*ORACLE_FIELDS[name])
+    q1 = spec.q - 1
+    rng = random.Random(f"rows-{name}")
+    for s in [d for d in range(1, q1 + 1) if q1 % d == 0][:4]:
+        hs = [random_rootless_poly(spec, s, rng.randrange(0, 5), rng)
+              for _ in range(5)]
+        width = max(len(h.coeffs) for h in hs) + 2
+        rows = np.array([h.coeffs + (0,) * (width - len(h.coeffs))
+                         for h in hs])
+        column = [[rng.randrange(1, 3 * q1)] for _ in hs]
+        for rs in (range(1, 2 * s + 1), column, np.array(column)):
+            logs, census = star_censuses(spec, s, hs, rs)
+            row_logs, row_census = star_censuses(spec, s, rows, rs)
+            assert logs.dtype == row_logs.dtype == np.int64
+            assert (logs == row_logs).all() and (census == row_census).all()
+
+
 def test_star_censuses_rejects_a_root():
     spec = build_field(13)
     h = Poly.from_string(spec, "12,1")  # x - 1 vanishes at x^s = 1
     with pytest.raises(HypothesisError):
         star_censuses(spec, 4, [Poly.from_string(spec, "1,1"), h], [1, 2])
+    with pytest.raises(HypothesisError, match="h = 12,1 has the root 1"):
+        star_censuses(spec, 4, np.array([[1, 1, 0], [12, 1, 0]]), [[1], [2]])
     # for h that a scan admitted, a root is an arithmetic bug, not a skip
     with pytest.raises(RuntimeError):
         rootless_censuses(spec, 4, [h], [1])

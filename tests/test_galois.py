@@ -335,6 +335,32 @@ def test_eval_powers_matches_eval_index_everywhere(p, n):
     assert eval_powers(spec, [()], 1).tolist() == [[0] * q1]
 
 
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (13, 1),
+                                 (2, 4), (3, 3), (7, 2), (2, 6)])
+def test_eval_powers_is_eval_index_at_every_power_and_count(p, n):
+    # log u^(j*k) mod q-1 is a table over (power, k) added to log c: every
+    # step, a count past q-1, a zero row and a zero column keep the values
+    # and the dtype of the sums
+    spec = build_field(p, n)
+    q, q1 = spec.q, spec.q - 1
+    rng = random.Random(f"powers-{p}-{n}")
+    s = next((d for d in range(2, q1) if q1 % d == 0), 1)
+    rows = [[rng.randrange(q) for _ in range(5)] for _ in range(6)]
+    rows += [[0] * 5, [0, 0, 0, 0, rng.randrange(1, q)]]
+    for row in rows:
+        row[2] = 0
+    for step in sorted({1, s, q1}):
+        for count in (None, q + 1):
+            out = eval_powers(spec, rows, step, count)
+            width = q1 if count is None else count
+            assert out.shape == (len(rows), width)
+            assert out.dtype == (np.int32 if p == 2 else np.int64)
+            for values, coeffs in zip(out.tolist(), rows):
+                h = Poly(spec, coeffs)
+                assert values == [h.eval_index(spec.exp_at(k * step))
+                                  for k in range(width)]
+
+
 def _digit_sum(spec, i, j):
     """i + j by the definition: base-p digits added mod p."""
     out, place = 0, 1

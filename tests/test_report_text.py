@@ -106,6 +106,65 @@ def test_writer_streams_nested_items_and_writes_flat_containers_whole(
     assert reference(flat).replace("\n", "\n  ")[1:-1] in sink.writes[0]
 
 
+# lists of flat dicts are written as batches of C encoder texts, re-indented
+# where one item ends and the next begins: strings that look like that seam
+SEAMS = TEXT | st.sampled_from(
+    ['},', '{', '}', '},\n    {', '\n', '"}, {"', 'é\n}', '\\"},'])
+FLAT_VALUES = SEAMS | st.integers() | FLOATS | st.booleans() | st.none()
+FLAT_DICTS = (st.dictionaries(SEAMS, FLAT_VALUES, min_size=1, max_size=4)
+              | st.dictionaries(NUMBER_KEYS, FLAT_VALUES, min_size=1,
+                                max_size=4))
+# an empty dict, a scalar, dicts made non-flat by an np scalar and dicts
+# that hold a container
+ODD_ITEMS = st.sampled_from([{}, 7, "},", None, {"k": np.int64(3)},
+                             {"a": np.float64(0.5), "b": "},\n{"},
+                             {2: np.bool_(True)}, {"k": [1, "},"]},
+                             {"a": {"b": None}, "c": 1}, {"t": ()}])
+
+
+def _insert(items, odd, at):
+    return items[:at] + [odd] + items[at:]
+
+
+FLAT_DICT_LISTS = (st.lists(FLAT_DICTS, min_size=1, max_size=12)
+                   | st.builds(_insert, st.lists(FLAT_DICTS, max_size=12),
+                               ODD_ITEMS, st.integers(0, 12)))
+
+
+def _nest(items, depth, as_tuple):
+    tree = tuple(items) if as_tuple else items
+    for level in range(depth):
+        tree = {"hits": tree, "count": level} if level % 2 else [tree, 1]
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(_nest, FLAT_DICT_LISTS, st.integers(0, 3), st.booleans()),
+       st.sampled_from([1, 2, cli._BATCH]), st.integers(1, 2))
+def test_lists_of_flat_dicts_are_the_indent_encoders_in_any_batch(
+        tree, batch, sinks):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_BATCH", batch)
+        assert written(tree, sinks) == reference(tree) + "\n"
+
+
+@pytest.mark.parametrize("batch", [1, 2, 8, cli._BATCH])
+def test_a_list_of_flat_dicts_reaches_the_sinks_batch_by_batch(monkeypatch,
+                                                               batch):
+    # longer than two batches of the default: each full batch is one write
+    hits = [{"r": i, "h": ["1", "},", "\u00e9\n{"][i % 3], "ok": i % 5 == 0,
+             "x": i / 7} for i in range(cli._BATCH // 2 + 3)]
+    tree = {"count": len(hits), "hits": hits}
+    monkeypatch.setattr(cli, "_BATCH", batch)
+    sink = Recorder()
+    cli.write_json(tree, [sink])
+    assert "".join(sink.writes) == reference(tree) + "\n"
+    step = max(1, batch // 4)
+    full, rest = divmod(len(hits), step)
+    assert [n for n in (w.count('"r": ') for w in sink.writes) if n] == (
+        [step] * full + [rest] * bool(rest))
+
+
 @settings(max_examples=200, deadline=None)
 @given(TREES)
 def test_canonical_json_is_compact_dumps(tree):
@@ -134,6 +193,7 @@ COMMANDS = [
     ("analyze", "2^6", "0,1", "--m", "2"),
     ("search", "13^1", "--s", "4", "--deg", "2", "--m", "3"),
     ("search", "2^4", "--s", "5", "--deg", "1", "--m", "3"),
+    ("search", "2^6", "--s", "21", "--deg", "2", "--m", "3"),
     ("count", "--q", "2..4", "--check"),
     ("verify", "main", "--q", "5,7", "--hcount", "2"),
     ("verify", "small", "--q", "7", "--hcount", "1"),

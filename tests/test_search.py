@@ -168,6 +168,27 @@ def test_search_kernel_memory_is_bounded():
     assert peak < 128 << 20
 
 
+def test_a_rooted_hit_fails_alone_in_a_halving_of_its_chunk(monkeypatch):
+    # 1 + x vanishes at 1 in U_3: the F_64 hits of the benchmark's query and
+    # that one more take one oracle call per chunk, and the failing chunk is
+    # halved down to the rooted hit, not re-checked hit by hit
+    spec = build_field(2, 6)
+    kernel, calls = search._kernel, []
+    monkeypatch.setattr(search, "_kernel",
+                        lambda *args: kernel(*args) + [((1, 1, 0), 1)])
+    monkeypatch.setattr(search, "star_censuses",
+                        lambda *args: calls.append(len(args[2]))
+                        or star_censuses(*args))
+    hits = search_forms(spec, 21, 2, 3)
+    assert len(hits) == 64093
+    assert [h for h in hits if not h["verified"]] == [
+        {"r": 1, "h": "1,1", "m": 3, "m1": 1, "verified": False}]
+    rows = search.CHUNK_CELLS // 63
+    chunks = math.ceil(len(hits) / rows)
+    assert calls[:chunks] == [rows] * (chunks - 1) + [len(hits) % rows]
+    assert len(calls) <= chunks + 2 * math.ceil(math.log2(rows))
+
+
 @pytest.mark.slow
 def test_search_f29_finds_paper_h():
     spec = build_field(29)
