@@ -732,17 +732,6 @@ class Poly:
             out[i * k] = c
         return Poly(self.spec, out)
 
-    def fold(self, period):
-        """self mod x^period - 1: the coefficient of x^k moves to x^(k mod
-        period).  The two agree wherever x^period = 1."""
-        if len(self.coeffs) <= period:
-            return self
-        spec = self.spec
-        out = list(self.coeffs[:period])
-        for k in range(period, len(self.coeffs)):
-            out[k % period] = spec.add(out[k % period], self.coeffs[k])
-        return Poly(spec, out)
-
     def frobenius(self, d=1):
         """Coefficient-wise p^d power (the conjugate polynomial)."""
         spec = self.spec

@@ -134,12 +134,18 @@ class _Tally:
         return ok
 
     def record(self, params):
+        """The grid record; one with no check and no failure agreed on
+        nothing, so it is skipped, with its hypothesis skips as the reason."""
         params = dict(params)
         params["checked"] = self.checked
         if self.skipped:
             params["hypothesis_skips"] = self.skipped
+        skipped = None
+        if not self.checked and not self.bad:
+            skipped = f"no checks: {self.skipped} hypothesis skip(s)"
         return _record(params, predicted="all-agree",
-                       observed="all-agree" if not self.bad else self.bad)
+                       observed="all-agree" if not self.bad else self.bad,
+                       skipped=skipped)
 
 
 @evaluator("count")

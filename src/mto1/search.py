@@ -4,12 +4,14 @@ The space is h = 1 + c1 x + ... + cD x^D (constant term normalized to 1:
 scaling h by a nonzero constant composes f with a permutation and cannot
 change any verdict, and an h with h(0) = 0 is a smaller-degree form with a
 bigger r).  As x^r h(w^s x^s) = w^-r f(w x), one h per orbit of
-h -> h(zeta x), zeta in U_ell, is filtered for rootlessness on U_ell and
-pushed through the subgroup prediction for every admissible r; each hit is
-expanded through its orbit, and every expanded hit is re-verified by brute
-force before it is reported: cyclotomic.star_censuses evaluates f over all
-of F_q^* from h's coefficients, independently of the kernel, and finds any
-root of h on U_ell.  Completeness rests on the symmetry; no hit does.
+h -> h(zeta x), zeta in U_ell, is evaluated on U_ell by
+cyclotomic.u_ell_values (the evaluator of the verify draws), filtered for
+rootlessness and pushed through the subgroup prediction for every admissible
+r; each hit is expanded through its orbit, and every expanded hit is
+re-verified by brute force before it is reported: cyclotomic.star_censuses
+evaluates f over all of F_q^* from h's coefficients, independently of the
+kernel, and finds any root of h on U_ell.  Completeness rests on the
+symmetry; no hit does.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from collections import Counter
 import numpy as np
 
 from .criteria import HypothesisError
-from .cyclotomic import conjunct_rule, star_censuses
+from .cyclotomic import conjunct_rule, star_censuses, u_ell_values
 from .multiplicity import fibers_verdict
 
 
@@ -53,14 +55,15 @@ def admissible_r_values(q, s, m, r_values=None):
 
 def search_forms(spec, s, deg, m, r_values=None, budget=DEFAULT_BUDGET):
     """All (r, h) with h in the normalized degree-<=deg space such that
-    x^r h(x^s) is m-to-1 on F_q^*; hits sorted by (h coefficients, r)."""
+    x^r h(x^s) is m-to-1 on F_q^*; hits sorted by (h coefficients, r).  m
+    must lie in [1, q-1]: above it every map on F_q^* is vacuously m-to-1."""
     q = spec.q
     if s < 1 or (q - 1) % s:
         raise ValueError(f"s = {s} must be a positive divisor of q-1 = {q - 1}")
     if deg < 0:
         raise ValueError(f"deg = {deg} must be >= 0")
-    if m < 1:
-        raise ValueError(f"m = {m} must be >= 1")
+    if not 1 <= m <= q - 1:
+        raise ValueError(f"m = {m} is outside [1, q-1] = [1, {q - 1}]")
     bad_r = [r for r in r_values or () if not 1 <= r < q]
     if bad_r:
         raise ValueError(f"r = {bad_r[0]} is outside [1, q-1] = [1, {q - 1}]")
@@ -138,35 +141,24 @@ def _kernel(spec, s, deg, rs):
     orbit or nowhere.  Hits are expanded through the ell rotations
     c_i -> c_i * g^(i*s*t), then deduped and sorted by one np.unique.
 
-    Each term c * u_j^i is an exp/log lookup; terms are summed as base-p
-    digit vectors mod p and recombined with the place values, so one path
-    serves prime and extension fields.  g(u_j) lies in U_(ell*m1) at
-    position (r*j + log h(u_j)) mod ell*m1, and one bincount over those
-    positions, offset per row, gives every point's fiber size.
+    h's values on U_ell come from cyclotomic.u_ell_values, one path for
+    prime and extension fields.  g(u_j) lies in U_(ell*m1) at position
+    (r*j + log h(u_j)) mod ell*m1, and one bincount over those positions,
+    offset per row, gives every point's fiber size.
     """
-    p, n, q = spec.p, spec.n, spec.q
+    q = spec.q
     q1 = q - 1
     ell = q1 // s
     exp = np.array(spec.exp, dtype=np.int64)
     log = np.array(spec.log, dtype=np.int64)
-    place = p ** np.arange(n, dtype=np.int64)
-    dtype = np.min_scalar_type(2 * p - 2)  # one digit sum before the mod
-    digits = (np.arange(q)[:, None] // place % p).astype(dtype)
     j = np.arange(ell, dtype=np.int64)
-    unit_logs = np.arange(deg + 1)[:, None] * s * j % q1  # log u_j^i
+    unit_logs = np.arange(1, deg + 1)[:, None] * s * j % q1  # log u_j^i
     kq = q ** np.arange(deg, -1, -1, dtype=np.int64)  # base q: c1..cD, r
     rows = max(1, CHUNK_CELLS // (ell * max(m1 for _, m1, _ in rs)))
     keys = [np.zeros(0, dtype=np.int64)]
     for coeffs in _representatives(q, s, deg, rows, exp):
-        acc = np.zeros((len(coeffs), ell, n), dtype=dtype)
-        acc[:, :, 0] = 1  # the constant term
-        for i in range(1, deg + 1):
-            c = coeffs[:, i - 1]
-            terms = exp[log[c][:, None] + unit_logs[i]]
-            terms[c == 0] = 0  # log[0] = -1 looked up a stray entry
-            acc += digits[terms]
-            acc %= p
-        vals = acc @ place
+        vals = u_ell_values(spec, s, np.pad(coeffs, ((0, 0), (1, 0)),
+                                            constant_values=1))
         ok = (vals != 0).all(axis=1)
         coeffs, hl = coeffs[ok], log[vals[ok]]
         for r, m1, m2 in rs:
@@ -175,7 +167,7 @@ def _kernel(spec, s, deg, rs):
             sizes = np.bincount(key.ravel())[key]
             hit = coeffs[(sizes == m2).sum(axis=1) == ell - ell % m2]
             turned = np.where(hit[:, None] > 0,
-                              exp[log[hit][:, None] + unit_logs[1:].T], 0)
+                              exp[log[hit][:, None] + unit_logs.T], 0)
             keys.append((turned @ kq[:-1]).ravel() + r)
     found = (np.unique(np.concatenate(keys))[:, None] // kq % q).T.tolist()
     return list(zip(zip(itertools.repeat(1), *found[:-1]), found[-1]))

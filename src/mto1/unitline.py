@@ -13,7 +13,7 @@ guarantees it: the scan doubles as a test of the lemma.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -526,24 +526,18 @@ def _pair_identity_scan(field, units, lvals, mvals, eps, t):
                for i, lv, mv in zip(units, lvals, mvals))
 
 
-def _clear_denominators(N, L, M, u=None):
-    """M^u * N(L/M) = sum a_j L^j M^(u-j); u defaults to deg N and may exceed
-    it (the unit tower clears with the pair's t, not the degree)."""
+def _clear_denominators(field, N, lv, mv, u=None):
+    """M^u * N(L/M) = sum a_j L^j M^(u-j) at each point, from L's values lv
+    and M's values mv there; u defaults to deg N and may exceed it (the unit
+    tower clears with the pair's t, not the degree)."""
     if u is None:
         u = N.degree
     if u < N.degree:
         raise ValueError("clearing exponent below deg N")
-    spec = N.spec
-    acc = Poly(spec, ())
-    lp = Poly.constant(spec, 1)
-    mp = [Poly.constant(spec, 1)]
-    for _ in range(u):
-        mp.append(mp[-1] * M)
-    for j, a in enumerate(N.coeffs):
-        if a:
-            acc = acc + (lp * mp[u - j]).scale(FieldElement(spec, a))
-        lp = lp * L
-    return acc
+    mul, pow_ = field.mul, field.pow
+    return [reduce(field.add, [mul(a, mul(pow_(lj, j), pow_(mj, u - j)))
+                               for j, a in enumerate(N.coeffs)], 0)
+            for lj, mj in zip(lv, mv)]
 
 
 def _tower_record(params, failed=None, predicted=None):
@@ -553,17 +547,23 @@ def _tower_record(params, failed=None, predicted=None):
             "agree": None}
 
 
-def _tower_outcome(field, r, H, m1, m, params, predicted):
+def _tower_outcome(field, r, hvals, m1, m, params, predicted):
     """The record of f = x^r H(x^(q-1))^m1 with its predicted verdict at m,
-    holding f's form and m for observe_towers; an H with roots in U fails
-    the hypotheses instead.  y = x^(q-1) has y^(q+1) = 1 on F_{q^2}^*, so
-    H^m1 is taken mod y^(q+1) - 1: the same f, and deg h <= q."""
+    holding f's form and m for observe_towers, from H's values hvals at the
+    unit_subgroup_points u_j; an H with roots in U fails the hypotheses
+    instead.  h (deg <= q) interpolates H^m1 on U: c_i = sum_j h(u_j) u_j^-i,
+    with no 1/(q+1) as q + 1 = 1 in F_q, is sum_j h(u_j) y^j at g^(i q(q-1))."""
     q, _ = quadratic_base(field)
-    h = (H.fold(q + 1) ** m1).fold(q + 1)
+    if not all(hvals):
+        return _tower_record(params, "H has roots in U")
+    values = [field.pow(v, m1) for v in hvals]
+    h = Poly(field, eval_powers(field, [values], q * (q - 1), q + 1)[0].tolist())
     try:
         form = CycloForm(field, r, q - 1, h)
     except HypothesisError:
-        return _tower_record(params, "H has roots in U")
+        form = None
+    if form is None or form.hlogs != tuple(field.log[v] for v in values):
+        raise RuntimeError("h does not interpolate H^m1 on U; arithmetic bug")
     rec = _tower_record(params, None, predicted)
     rec["form"], rec["m"] = form, m
     return rec
@@ -583,18 +583,17 @@ def observe_towers(records):
     return records
 
 
-def _line_tower_failure(field, half, pair, N):
+def _line_tower_failure(field, half, pair, N, lv, mv):
     """The hypothesis scans shared by the towers through F_q + {INF}: deg N,
     t, the L/M pair identity and both bijections.  Returns the first failure
-    string, or None when every scan passes.  L and M are evaluated once on
-    U, N and N^(q) once on the line."""
+    string, or None when every scan passes.  lv and mv hold L and M on U,
+    in unit_subgroup_points order; N and N^(q) are evaluated on the line."""
     L, M, eps, t = pair
     if N.degree < 1:
         return "deg N < 1"
     if t < max(L.degree, M.degree):
         return "t < max(deg L, deg M)"
     units, line = unit_subgroup_points(field), subfield_indices(field, half)
-    lv, mv = _values(units, L, M)
     # both polynomials must satisfy P = eps x^t P^q on U, with the same eps, t
     for name, vals in (("L", lv), ("M", mv)):
         if not _pair_identity_scan(field, units, vals, vals, eps, t):
@@ -631,10 +630,11 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     params = {"n": n, "r": r, "m": m, "m1": m1}
 
     units = unit_subgroup_points(field)
+    values = {}
     for name, (L, M, eps, t) in (("inner", inner), ("outer", outer)):
         if t < M.degree:
             return _tower_record(params, f"{name}: t < deg M")
-        lv, mv = _values(units, L, M)
+        lv, mv = values[name] = _values(units, L, M)
         if not all(mv):
             return _tower_record(params, f"{name}: M has roots in U")
         if not _pair_identity_scan(field, units, lv, mv, eps, t):
@@ -646,7 +646,8 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     if not 1 <= m <= m1 * (q + 1):
         return _tower_record(params, "m out of range")
 
-    H = _clear_denominators(M2, L1 ** n, M1 ** n, u=t2)
+    lv, mv = ([field.pow(v, n) for v in vals] for vals in values["inner"])
+    H = _clear_denominators(field, M2, lv, mv, u=t2)
     predicted = m % m1 == 0 and math.gcd(n, q + 1) == m // m1
     return _tower_outcome(field, r, H, m1, m, params, predicted)
 
@@ -664,7 +665,8 @@ def tower_line_predict(field, pair, N, n, r, m):
     m1 = math.gcd(r, q - 1)
     params = {"n": n, "r": r, "m": m, "m1": m1, "u": u}
 
-    failed = _line_tower_failure(field, half, pair, N)
+    lv, mv = _values(unit_subgroup_points(field), L, M)
+    failed = _line_tower_failure(field, half, pair, N, lv, mv)
     if failed:
         return _tower_record(params, failed)
     if (r // m1) % (q + 1) != (n * t * u) % (q + 1):
@@ -672,7 +674,8 @@ def tower_line_predict(field, pair, N, n, r, m):
     if not 1 <= m <= m1 * (q + 1):
         return _tower_record(params, "m out of range")
 
-    H = _clear_denominators(N, L ** n, M ** n)
+    H = _clear_denominators(field, N, [field.pow(v, n) for v in lv],
+                            [field.pow(v, n) for v in mv])
     g = math.gcd(n, q - 1)
     predicted = (m == m1 and g == 1) or (
         m % m1 == 0 and g == m // m1 and g >= 3 and 2 * (q - 1) < m)
@@ -695,18 +698,19 @@ def tower_gbar_predict(field, pair, N, alpha, r):
     params = {"r": r, "m1": m1, "u": u, "sigma_is_one": sigma == field.one}
     if aq == alpha:
         return _tower_record(params, "alpha lies in F_q")
-    failed = _line_tower_failure(field, half, pair, N)
+    lv, mv = _values(unit_subgroup_points(field), L, M)
+    failed = _line_tower_failure(field, half, pair, N, lv, mv)
     if failed:
         return _tower_record(params, failed)
     if (r // m1) % (q + 1) != (3 * t * u) % (q + 1):
         return _tower_record(params, "congruence r/m1 = 3 t u mod q+1")
 
-    pi = alpha * aq
-    # gbar as cubic/quadratic forms in (L, M)
-    h1 = (L ** 3 + (L ** 2 * M).scale(sigma) + (L * M ** 2).scale(pi)
-          + (M ** 3).scale(sigma))
-    h2 = (L ** 2 * M + (L * M ** 2).scale(sigma) + (M ** 3).scale(pi))
-    H = _clear_denominators(N, h1, h2)
+    si, pi = sigma.index, (alpha * aq).index
+    # gbar o L/M = h1/h2: the cubics (sigma, pi, sigma, 1) and (pi, sigma, 1)
+    # cleared in (L, M)
+    h1, h2 = (_clear_denominators(field, Poly(field, cs), lv, mv, u=3)
+              for cs in ((si, pi, si, 1), (pi, si, 1)))
+    H = _clear_denominators(field, N, h1, h2)
     return _tower_outcome(field, r, H, m1, m1, params, sigma == field.one)
 
 

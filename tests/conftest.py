@@ -24,3 +24,21 @@ def paper_square_f29():
     lambar = {x: spec.pow(x, 2) for x in star}
     g = {spec.exp_at(4 * j): spec.exp_at(dec.g_logs[j]) for j in range(7)}
     return CommutativeSquare(star, star, u7, u14, f, g, lam, lambar)
+
+
+def _fold(poly, period):
+    """poly mod x^period - 1: the coefficient of x^k moves to x^(k mod
+    period), so the two agree wherever x^period = 1."""
+    if len(poly.coeffs) <= period:
+        return poly
+    spec = poly.spec
+    out = list(poly.coeffs[:period])
+    for k in range(period, len(poly.coeffs)):
+        out[k % period] = spec.add(out[k % period], poly.coeffs[k])
+    return Poly(spec, out)
+
+
+@pytest.fixture
+def fold():
+    """The reduction mod x^period - 1 as a reference: fold(poly, period)."""
+    return _fold

@@ -100,9 +100,10 @@ def test_search_out_of_range_m_is_empty(capsys):
     ("--s", "4", "--deg", "2", "--m", "3", "--r", "5..3"),
     ("--s", "4", "--deg", "2", "--m", "3", "--r", "1,,2"),
     ("--s", "4", "--deg", "2", "--m", "3", "--r", ""),
+    ("--s", "4", "--deg", "1", "--m", "13"),
 ])
 def test_search_rejects_out_of_range_inputs_exit_2(capsys, extra):
-    # s >= 1 dividing q-1, deg >= 0, m >= 1 and every r in [1, q-1]; a
+    # s >= 1 dividing q-1, deg >= 0, m in [1, q-1] and every r in [1, q-1]; a
     # reversed range, an empty item or an empty list is not read as no r or
     # as every r
     code, out, err = run_cli(capsys, "search", "13^1", *extra)
@@ -458,8 +459,9 @@ def test_worker_drawn_reports_do_not_depend_on_the_pool(capsys, family):
     assert digest == REPORT_PINS[argv]
 
 
-# the reduction_chunks families at seeds 1 and 7, on the argv of REPORT_PINS;
-# computed before the grids shared one chunk engine
+# the reduction_chunks families at seeds 1 and 7, on the argv of REPORT_PINS,
+# computed before the grids shared one chunk engine; towers at seeds 1, 2
+# and 7, computed before its forms were interpolated from values on U
 SEED_PINS = {
     ("main", "--q", "5,7,8,9", "--hcount", "4", "--seed", "1"):
         "daf6215415dbbabbfb4aa21cff6a4ecbc781077fb6954ea403f9d23e5589d3a6",
@@ -477,6 +479,18 @@ SEED_PINS = {
         "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
     ("monomial", "--q", "3,4", "--seed", "7"):
         "9a3e87e1fc81a0ceab3e05d1c9b4163d37bc7637948553578c8139729ca5ff48",
+    ("towers", "--q", "3,4", "--draws", "50", "--seed", "1"):
+        "49b5d3eac7a669cee9a05a257f3a8dea39fde7aa8af8908acbe84fdce8cc63fc",
+    ("towers", "--q", "3,4", "--draws", "50", "--seed", "2"):
+        "94f7eb5ece09067094a061bf8f27320d93b31fd6f21cef17a3de20b70bebe4c3",
+    ("towers", "--q", "3,4", "--draws", "50", "--seed", "7"):
+        "4cee36a18f1dd31c65757c6f10d3545b5fbd9fb0e4276f77a0e5390547efe046",
+    ("towers", "--q", "5,7,8", "--draws", "50", "--seed", "1"):
+        "ccf032ffc9c76dff4114b40eb6b705fd3d3321e9c456382928f1a3e529efebdb",
+    ("towers", "--q", "5,7,8", "--draws", "50", "--seed", "2"):
+        "3d77cd6cf185737153f6820e2ce631252f2101b2e18a8bfd65f73a05821c9508",
+    ("towers", "--q", "5,7,8", "--draws", "50", "--seed", "7"):
+        "a2543f517dacdcdd4a2ee08934df1d7b04e495db51cec3e49425fd67f71a7407",
 }
 
 
@@ -493,6 +507,41 @@ def _records_digest(capsys, *argv):
 @pytest.mark.parametrize("argv", sorted(SEED_PINS))
 def test_engine_reports_match_pins_at_other_seeds(capsys, argv):
     assert _records_digest(capsys, *argv) == SEED_PINS[argv]
+
+
+def test_grid_record_with_no_checks_is_skipped(capsys):
+    # towers at q = 3, one draw per family: the rk draw is a hypothesis skip,
+    # so its record checked nothing and is skipped, not an agreement
+    code, out, _ = run_cli(capsys, "verify", "towers", "--q", "3", "--draws",
+                           "1", "--seed", "0", "--jobs", "1", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["summary"] == {"total": 3, "agreements": 2,
+                                 "disagreements": 0, "skipped": 1}
+    rk, = [r for r in report["records"] if r["params"]["family"] == "rk"]
+    assert rk["params"]["checked"] == 0
+    assert rk["params"]["hypothesis_skips"] == 1
+    assert rk["agree"] is None
+    assert rk["skipped"] == "no checks: 1 hypothesis skip(s)"
+
+
+def test_tally_record_with_failures_and_no_checks_disagrees():
+    # a stage error fails a grid before any check: a disagreement, not a skip
+    failed = harness._Tally()
+    failed.bad.append({"stage": "lift", "error": "no lift"})
+    rec = failed.record({"q": 9})
+    assert rec["agree"] is False and rec["skipped"] is None
+    assert rec["params"] == {"q": 9, "checked": 0}
+    empty = harness._Tally()
+    rec = empty.record({"q": 9})
+    assert rec["agree"] is None
+    assert rec["skipped"] == "no checks: 0 hypothesis skip(s)"
+    checked = harness._Tally()
+    checked.check(True)
+    checked.skipped = 2
+    rec = checked.record({"q": 9})
+    assert rec["agree"] is True and rec["skipped"] is None
+    assert rec["params"] == {"q": 9, "checked": 1, "hypothesis_skips": 2}
 
 
 @pytest.mark.parametrize("family", ["main", "small", "ell", "monomial"])

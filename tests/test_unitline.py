@@ -6,13 +6,16 @@ import random
 
 import pytest
 
+import mto1.unitline as unitline
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import CycloForm, brute_verdict_star, main_predict
 from mto1.galois import (FieldElement, Poly, build_field, eval_powers,
                          subfield_indices)
+from mto1.harness import Q2_GRID
 from mto1.multiplicity import FiniteMapping, admissible_m_set, check_m_to_1
 from mto1.unitline import (INF, Deg1Map, RationalEvalError, RationalMap,
-                           _bijects, _tower_outcome, base_trace, deg1_permutes_unit,
+                           _bijects, _clear_denominators, _tower_outcome,
+                           base_trace, deg1_permutes_unit,
                            deg1_unit_to_line, frob_q, g3_families, g3_family,
                            g5_family, g_permutation_lemma, halfplane_split,
                            line_pair_deg1, line_poly_deg1, line_to_unit_scan,
@@ -569,19 +572,96 @@ def test_batched_g3_matches_brute_force_mappings(n):
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2)])
 def test_tower_h_vanishing_on_u_has_roots_in_u(p, n):
-    # an H that is 0 at every point of U folds to the zero polynomial; the
-    # record must still name the failed hypothesis
+    # an H that is 0 at every point of U, or at one, has no interpolant
+    # without roots; the record must name the failed hypothesis
     spec = build_field(p, n)
     q = p ** (n // 2)
+    units = unit_subgroup_points(spec)
     vanishing = Poly.monomial(spec, q + 1) - Poly.constant(spec, 1)
+    one_root = Poly.x(spec) - Poly.constant(spec, 1)  # zero at u_0 = 1 alone
     for H in (vanishing, vanishing * Poly(spec, (1, 1)),
-              vanishing * vanishing):
+              vanishing * vanishing, one_root):
+        hvals = [H.eval_index(u) for u in units]
         for m1 in (1, q - 1):
-            rec = _tower_outcome(spec, m1, H, m1, m1, {}, True)
+            rec = _tower_outcome(spec, m1, hvals, m1, m1, {}, True)
             assert rec["failed"] == "H has roots in U"
             assert not rec["hypotheses_ok"] and "form" not in rec
             with pytest.raises(HypothesisError):
                 CycloForm(spec, m1, q - 1, H ** m1)
+
+
+@pytest.mark.parametrize("q", Q2_GRID)
+def test_tower_h_interpolates_the_fold_of_h_to_the_m1(q, fold):
+    # h interpolated from H's values on U is H^m1 mod y^(q+1) - 1, for
+    # random H of degree up to 3q over F_(q^2) and every m1 | q-1
+    spec = next(build_field(p, 2 * k) for p in (2, 3, 5, 7)
+                for k in (1, 2, 3) if p ** k == q)
+    units = unit_subgroup_points(spec)
+    rng = random.Random(f"interpolate-{q}")
+    forms = 0
+    for m1 in (d for d in range(1, q) if (q - 1) % d == 0):
+        for deg in (0, 1, q, q + 1, 3 * q):
+            H = Poly(spec, [rng.randrange(1, spec.q)
+                            for _ in range(deg + 1)])
+            hvals = [H.eval_index(u) for u in units]
+            rec = _tower_outcome(spec, m1, hvals, m1, m1, {}, True)
+            if not all(hvals):
+                assert rec["failed"] == "H has roots in U"
+                continue
+            assert rec["form"].h == fold(fold(H, q + 1) ** m1, q + 1)
+            assert rec["form"].r == m1 and rec["form"].s == q - 1
+            forms += 1
+    assert forms >= 3
+
+
+def test_tower_h_that_misses_its_values_is_an_arithmetic_bug(monkeypatch):
+    # CycloForm's scan must give back H^m1's values: an h that does not,
+    # rooted or not, raises RuntimeError, never a hypothesis failure
+    spec = build_field(2, 4)
+    units = unit_subgroup_points(spec)
+    hvals = next(vals for c in range(2, spec.q)
+                 if all(vals := [Poly(spec, (c, 1)).eval_index(u)
+                                 for u in units]))
+    assert "form" in _tower_outcome(spec, 3, hvals, 3, 3, {}, True)
+    for wrong in (lambda c: c * 0, lambda c: c[:, ::-1], lambda c: c ^ 1):
+        monkeypatch.setattr(unitline, "eval_powers",
+                            lambda *a, wrong=wrong: wrong(eval_powers(*a)))
+        with pytest.raises(RuntimeError, match="arithmetic bug"):
+            _tower_outcome(spec, 3, hvals, 3, 3, {}, True)
+
+
+@pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2), (2, 6)])
+def test_clear_denominators_on_values_is_the_poly_clearing_on_u(p, n):
+    # sum a_j l^j m^(u-j) at each point of U equals M^u N(L/M) built as a
+    # polynomial and evaluated there, also where L or M vanishes on U
+    spec = build_field(p, n)
+    q = p ** (n // 2)
+    units = unit_subgroup_points(spec)
+    rng = random.Random(f"clear-{p}-{n}")
+
+    def rand_poly(deg):
+        return Poly(spec, [rng.randrange(spec.q) for _ in range(deg)]
+                    + [rng.randrange(1, spec.q)])
+
+    vanishing = Poly.monomial(spec, q + 1) - Poly.constant(spec, 1)
+    for trial in range(12):
+        N = rand_poly(rng.randrange(0, 5))
+        L, M = rand_poly(rng.randrange(0, 4)), rand_poly(rng.randrange(0, 4))
+        if trial % 3 == 1:
+            L = L * vanishing
+        elif trial % 3 == 2:
+            M = M * Poly(spec, (spec.neg(units[1]), 1))  # zero at u_1
+        for u in (None, N.degree + rng.randrange(1, 3)):
+            e = N.degree if u is None else u
+            terms = ((L ** j * M ** (e - j)).scale(FieldElement(spec, a))
+                     for j, a in enumerate(N.coeffs))
+            poly = sum(terms, Poly(spec, ()))
+            lv = [L.eval_index(x) for x in units]
+            mv = [M.eval_index(x) for x in units]
+            assert _clear_denominators(spec, N, lv, mv, u) == [
+                poly.eval_index(x) for x in units]
+    with pytest.raises(ValueError):
+        _clear_denominators(spec, Poly(spec, (1, 1, 1)), [1], [1], u=1)
 
 
 def test_observed_tower_batch_matches_one_form_calls():
