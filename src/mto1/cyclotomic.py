@@ -14,8 +14,12 @@ outside.  Every family, the squares of `decompose` and `reduction_chunks`
 (the one engine of the main, case-list and monomial grids), `permutes_field`
 and search's re-verification read it; `star_verdicts` answers many forms at
 once, and `star_fibers` and `brute_verdict_star` are its one-form views.
-`hlogs` comes from CycloForm's scan of h or from random_rootless_forms'
-bulk scan (u_ell_values), and only the prediction side reads it: `with_r`,
+On U_ell, `u_ell_values` (Horner) is the one evaluator and `forms_from_logs`
+the one step from h's value logs to forms: f reads h only there, so each
+product or power (M^k h, h_d(x^e)^t, (x^d - a)^(k m1), a tower's H^m1) is a
+sum of its factors' value logs, taken from u_ell_values on their
+coefficients, that the step interpolates.  `hlogs` comes from that step or
+from a u_ell_values scan, and only the prediction side reads it: `with_r`,
 `decompose`, `g_censuses`, `monomial_predict` and `infer_monomial_params`.
 """
 
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -54,13 +59,8 @@ class CycloForm:
             raise HypothesisError("h must be nonzero")
         ell = q1 // s
         if hlogs is None:  # h's dlogs at u_j = g^(j*s), unless a caller scanned
-            hlogs = []
-            for j in range(ell):
-                v = h.eval_index(spec.exp_at(j * s))
-                if v == 0:
-                    root = FieldElement(spec, spec.exp_at(j * s))
-                    raise HypothesisError(f"h has the root {root} in U_{ell}")
-                hlogs.append(spec.log[v])
+            hlogs = u_ell_logs(spec, s, u_ell_values(spec, s, [h.coeffs]))[0]
+            hlogs = hlogs.tolist()
         self.spec = spec
         self.s = s
         self.h = h
@@ -189,8 +189,7 @@ def star_censuses(spec, s, hs, rs):
     (c >= 1).  Raises HypothesisError if some h(x^s) vanishes on F_q^*."""
     q1 = spec.q - 1
     if not isinstance(hs, np.ndarray):
-        width = max(len(h.coeffs) for h in hs)
-        hs = np.array([h.coeffs + (0,) * (width - len(h.coeffs)) for h in hs])
+        hs = coeff_rows(hs)
     values = eval_powers(spec, hs, s)
     if not values.all():
         i, k0 = np.argwhere(values == 0)[0]
@@ -517,9 +516,17 @@ def hd_rootless_scan(field, d, e, ell):
     q1 = field.q - 1
     if q1 % ell:
         raise HypothesisError(f"ell = {ell} does not divide q-1 = {q1}")
-    hd = hd_poly(field, d)
-    return all(hd.eval_index(field.pow(field.exp_at(j * (q1 // ell)), e))
-               for j in range(ell))
+    return bool(_hd_row(field, q1 // ell, d)[np.arange(ell) * e % ell].all())
+
+
+@lru_cache(maxsize=256)
+def _hd_row(field, s, d):
+    """h_d on U_ell as indices, scanned once for every e, t and r (read-only,
+    as callers share it); h_d(x^e) reads it at j*e mod ell, as u_j^e =
+    u_(j*e mod ell)."""
+    row = u_ell_values(field, s, [hd_poly(field, d).coeffs])[0]
+    row.setflags(write=False)
+    return row
 
 
 def hd_family_predict(field, base_degree, r, s, d, e, t):
@@ -560,9 +567,10 @@ def hd_family_predict(field, base_degree, r, s, d, e, t):
         raise HypothesisError(
             f"neither ell*m1 | (q0-1, n0) nor (n0 even and ell*m1 | q0+1) holds")
 
-    # the form's scan of h on U_ell is the rootless scan of its factor
-    # h_d(x^e): a root raises, so the gcd criterion must say rootless
-    form = CycloForm(field, r, s, hd_poly(field, d).of_power(e) ** t)
+    # h = h_d(x^e)^t from h_d's values; a root of h_d(x^e) on U_ell raises,
+    # so the gcd criterion must say rootless
+    hdx = _hd_row(field, s, d)[None, np.arange(ell) * e % ell]
+    form = forms_from_logs(field, r, s, t * u_ell_logs(field, s, hdx))[0]
     return {"case": case, "m": m, "form": form,
             "hd_rootless_gcd": hd_rootless_gcd(d, e, ell, q0),
             "q0": q0, "n0": n0, "ell": ell, "m1": m1}
@@ -578,16 +586,18 @@ def permutes_field(form):
 
 def _twist_identity_scan(form, M, eps, t, e, text):
     """Raise unless eps * x^t * M(x)^e = 1 at every x in U_ell; text names
-    the identity in the error, which carries the first failing point."""
-    spec = form.spec
-    q1 = spec.q - 1
-    elog = spec.log[eps.index]
-    for j in range(form.ell):
-        a = spec.exp_at(j * form.s)
-        mv = M.eval_index(a)
-        if mv == 0 or (elog + t * (j * form.s) + e * spec.log[mv]) % q1:
-            witness = FieldElement(spec, a)
-            raise HypothesisError(f"{text} != 1 at x = {witness}")
+    the identity in the error, which carries the first failing point.
+    Returns the value logs of M and of form's h on U_ell, both from
+    u_ell_values on their coefficients."""
+    spec, s = form.spec, form.s
+    mv, hv = u_ell_values(spec, s, coeff_rows([M, form.h]))
+    mlogs = spec.arrays()[1][mv].astype(np.int64)
+    bad = (mv == 0) | ((spec.log[eps.index] + t * s * np.arange(form.ell)
+                        + e * mlogs) % (spec.q - 1) != 0)
+    if bad.any():
+        witness = FieldElement(spec, spec.exp_at(int(bad.argmax()) * s))
+        raise HypothesisError(f"{text} != 1 at x = {witness}")
+    return mlogs, u_ell_logs(spec, s, hv[None])[0]
 
 
 def lift_from_permutation(form, M, eps, t, k):
@@ -599,10 +609,12 @@ def lift_from_permutation(form, M, eps, t, k):
         raise HypothesisError("f does not permute F_q")
     if eps.spec != spec or eps.is_zero:
         raise HypothesisError("eps must be a nonzero field element")
-    _twist_identity_scan(form, M, eps, t, form.s, "eps*x^t*M(x)^s")
+    mlogs, hlogs = _twist_identity_scan(form, M, eps, t, form.s,
+                                        "eps*x^t*M(x)^s")
     if k < 1:
         raise HypothesisError(f"k must be a positive integer, got {k}")
-    lifted = CycloForm(spec, form.r + k * t, form.s, M ** k * form.h)
+    lifted = forms_from_logs(spec, form.r + k * t, form.s,
+                             [k * mlogs + hlogs])[0]
     m_pred = math.gcd(form.r + k * t, form.s)
     verified = brute_verdict_star(lifted, m_pred)
     return {"form": lifted, "m": m_pred, "verified": verified}
@@ -625,9 +637,10 @@ def transfer_equivalence(form, M, eps, t, k):
         raise HypothesisError("eps must be a nonzero field element")
     if spec.pow(eps.index, form.ell * m1) != 1:
         raise HypothesisError("eps must lie in U_(ell*m1)")
-    _twist_identity_scan(form, M, eps, t // m1, form.s1,
-                         "eps*x^(t/m1)*M(x)^(s/m1)")
-    lifted = CycloForm(spec, form.r + k * t, form.s, M ** k * form.h)
+    mlogs, hlogs = _twist_identity_scan(form, M, eps, t // m1, form.s1,
+                                        "eps*x^(t/m1)*M(x)^(s/m1)")
+    lifted = forms_from_logs(spec, form.r + k * t, form.s,
+                             [k * mlogs + hlogs])[0]
     census = rootless_censuses(spec, form.s, [lifted.h, form.h],
                                [[lifted.r], [form.r]])[1][:, 0]
     ms = np.arange(1, form.ell * m1 + 1)
@@ -637,7 +650,7 @@ def transfer_equivalence(form, M, eps, t, k):
             "form_F": lifted}
 
 
-# -- randomized rootless h for verification grids ---------------------------------
+# -- h on U_ell: the evaluator, values to forms, random rootless h ------------
 
 def u_ell_values(spec, s, coeffs):
     """values[i, j] = h_i(g^(j*s)), j < ell, as indices, for the rows of
@@ -654,22 +667,50 @@ def u_ell_values(spec, s, coeffs):
     return values
 
 
+def coeff_rows(polys):
+    """The polys' coefficient indices as one zero-padded 2-D array."""
+    width = max(len(P.coeffs) for P in polys) or 1
+    return np.array([P.coeffs + (0,) * (width - len(P.coeffs))
+                     for P in polys], dtype=np.int64)
+
+
+def u_ell_logs(spec, s, values):
+    """The logs of values (rows of h's values on U_ell, as indices); a zero
+    raises HypothesisError naming the first root, row by row."""
+    if not values.all():
+        j = int(np.argwhere(values == 0)[0][1])
+        root = FieldElement(spec, spec.exp_at(j * s))
+        raise HypothesisError(f"h has the root {root} in U_{values.shape[1]}")
+    return spec.arrays()[1][values].astype(np.int64)
+
+
+def forms_from_logs(spec, r, s, logs):
+    """x^r h(x^s) for each row of logs (log h(u_j), j < ell, any ints), h the
+    interpolant of degree < ell: c_i = ell^-1 sum_j h(u_j) u_j^-i, one
+    eval_powers pass at step -s.  h must give back its values through
+    u_ell_values, else RuntimeError (an arithmetic bug); logs are its hlogs."""
+    q1, p = spec.q - 1, spec.p
+    exp, log = spec.arrays()
+    logs = np.asarray(logs) % q1
+    ell = logs.shape[1]
+    coeffs = eval_powers(spec, exp[(logs - log[ell % p]) % q1], -s % q1, ell)
+    if (u_ell_values(spec, s, coeffs) != exp[logs]).any():
+        raise RuntimeError("the interpolant misses its values on U_ell; "
+                           "arithmetic bug")
+    return [CycloForm(spec, r, s, Poly(spec, c), hlogs)
+            for c, hlogs in zip(coeffs.tolist(), logs.tolist())]
+
+
 def random_rootless_form(spec, s, max_degree, rng):
     """The form x * h(x^s) for a random h of degree <= max_degree with no
-    roots in U_((q-1)/s); CycloForm's own scan is the rootless test."""
-    random_rootless_forms(spec, s, max_degree, rng, 0)  # checks s and degree
-    while True:
-        h = Poly(spec, [rng.randrange(spec.q) for _ in range(max_degree + 1)])
-        try:
-            return CycloForm(spec, 1, s, h)
-        except HypothesisError:
-            continue
+    roots in U_((q-1)/s)."""
+    return random_rootless_forms(spec, s, max_degree, rng, 1)[0]
 
 
 def random_rootless_forms(spec, s, max_degree, rng, count):
-    """The forms of count successive random_rootless_form calls, with rng
-    left as they leave it: each pass draws no more candidates than are still
-    needed, at most REDUCTION_CELLS (candidate, point) cells, for one scan."""
+    """count forms x * h(x^s), h of degree <= max_degree drawn in turn and
+    redrawn on a root in U_((q-1)/s); a pass draws no more candidates than
+    are still needed, at most REDUCTION_CELLS (candidate, point) cells."""
     q1, width, log = spec.q - 1, max_degree + 1, spec.arrays()[1]
     if not isinstance(s, int) or s < 1 or q1 % s:
         raise ValueError(f"s = {s} must divide q-1 = {q1}")

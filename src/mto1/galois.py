@@ -569,8 +569,11 @@ def eval_powers(spec, coeffs, step, count=None):
     terms[coeffs == 0] = 0  # log[0] = -1 looked up a stray entry
     if p == 2:
         return np.bitwise_xor.reduce(terms, axis=1)
-    return sum((terms // d % p).sum(axis=1) % p * d
-               for d in p ** np.arange(spec.n))
+
+    def mod_p(x):  # x % p; Python int divisors keep int32 digits int32
+        return x - x // p * p
+    return sum(mod_p(mod_p(terms // p ** i).sum(axis=1)) * p ** i
+               for i in range(spec.n))
 
 
 def subfield_indices(spec, d):

@@ -25,13 +25,14 @@ from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
 from .cyclotomic import (CycloForm, conjunct_text, decompose,
-                         hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
-                         lift_from_permutation, monomial_predict,
-                         count_rootless, permutes_field, predict_from,
-                         random_rootless_form, random_rootless_forms,
-                         random_rootless_poly, reduction_chunks,
-                         rootless_censuses, small_ell_predict,
-                         small_m_predict, star_census, transfer_equivalence)
+                         forms_from_logs, hd_family_predict, hd_rootless_gcd,
+                         hd_rootless_scan, lift_from_permutation,
+                         monomial_predict, count_rootless, permutes_field,
+                         predict_from, random_rootless_form,
+                         random_rootless_forms, random_rootless_poly,
+                         reduction_chunks, rootless_censuses,
+                         small_ell_predict, small_m_predict, star_census,
+                         transfer_equivalence, u_ell_logs, u_ell_values)
 from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
                      build_field, quadratic_base, subfield_indices)
 from .multiplicity import (ENUMERATION_MAX_Q, FiniteMapping, IndexMapping,
@@ -325,8 +326,10 @@ def _eval_monomial_grid(params):
     if not cases:
         return [_record({"q": q, "d": d, "k": k, "r": r}, None, None,
                         skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
-    forms = [CycloForm(spec, r, q - 1, Poly.from_elements(
-        spec, (-a, spec.one)).of_power(d) ** (k * m1)) for a in cases]
+    # h = (x^d - a)^(k m1) from the values of x^d - a on U_(q+1)
+    factors = [[(-a).index] + [0] * (d - 1) + [1] for a in cases]
+    forms = forms_from_logs(spec, r, q - 1, k * m1 * u_ell_logs(
+        spec, q - 1, u_ell_values(spec, q - 1, factors)))
     pairs = [(r, m) for m in range(1, min(m1 * (q + 1), 24) + 1)]
     for a, red in zip(cases, reduction_chunks(spec, q - 1, forms, pairs)):
         mono_m = monomial_predict(red.form, (-a) ** (-k), -k * d)["m"]
@@ -399,9 +402,10 @@ def _eval_hd_family(params):
 
 
 def _conforming_twist(spec, s, m1, rng):
-    """(M, t) with eps = 1 and x^(t/m1) M(x)^(s/m1) = 1 on U_ell: take
-    M = x^a W(x)^(ell*m1) for rootless W, so M^(s/m1) = x^(a*s/m1) there,
-    and pick t/m1 = -a*(s/m1) mod ell."""
+    """(M, t) with eps = 1 and x^(t/m1) M(x)^(s/m1) = 1 on U_ell: take M
+    with the values of x^a W(x)^(ell*m1) on U_ell for rootless W (its
+    interpolant there), so M^(s/m1) = x^(a*s/m1) there, and pick
+    t/m1 = -a*(s/m1) mod ell."""
     q1 = spec.q - 1
     ell = q1 // s
     s1 = s // m1
@@ -410,9 +414,9 @@ def _conforming_twist(spec, s, m1, rng):
     t1 = ell * rng.randrange(1, 4) - (a * s1) % ell
     if t1 < 1:
         t1 += ell
-    M = W ** (ell * m1)
-    if a:
-        M = M * Poly.monomial(spec, a)
+    wlogs = u_ell_logs(spec, s, u_ell_values(spec, s, [W.coeffs]))
+    M = forms_from_logs(spec, 1, s, ell * m1 * wlogs
+                        + [a * s * j for j in range(ell)])[0].h
     return M, m1 * t1
 
 

@@ -18,7 +18,8 @@ from functools import partial, reduce
 import numpy as np
 
 from .criteria import HypothesisError
-from .cyclotomic import CycloForm, star_verdicts
+from .cyclotomic import (CycloForm, coeff_rows, forms_from_logs,
+                         star_verdicts, u_ell_logs, u_ell_values)
 from .galois import (FieldElement, FieldError, Poly, eval_powers,
                      quadratic_base, relative_trace, subfield_indices)
 from .multiplicity import fibers_verdict, sorted_row_censuses
@@ -506,8 +507,12 @@ def transfer_families(field, base, c=None, d=3, k=1):
     else:
         h = Poly(field, (1, 1, 0, 0, 1))  # x^4 + x + 1
         predicted = True
-    form_f = CycloForm(field, m0, q - 1, h)
-    form_big = CycloForm(field, m0 + k * (d - 1), q - 1, hd ** k * h)
+    # F's h is hd^k h: its value logs are k log h_d + log h on U
+    hlogs, hdlogs = u_ell_logs(field, q - 1, u_ell_values(
+        field, q - 1, coeff_rows([h, hd])))
+    form_f = CycloForm(field, m0, q - 1, h, hlogs.tolist())
+    form_big = forms_from_logs(field, m0 + k * (d - 1), q - 1,
+                               [k * hdlogs + hlogs])[0]
     (observed,), (base_obs,) = star_verdicts([form_big, form_f],
                                              [[m0], [m0]])
     return {"base": base, "m": m0, "predicted": predicted,
@@ -534,10 +539,15 @@ def _clear_denominators(field, N, lv, mv, u=None):
         u = N.degree
     if u < N.degree:
         raise ValueError("clearing exponent below deg N")
-    mul, pow_ = field.mul, field.pow
-    return [reduce(field.add, [mul(a, mul(pow_(lj, j), pow_(mj, u - j)))
-                               for j, a in enumerate(N.coeffs)], 0)
-            for lj, mj in zip(lv, mv)]
+    exp, log = field.arrays()
+    j = np.flatnonzero(N.coeffs)[:, None]
+    ll, lm = log[lv], log[mv]
+    # a_j l^j m^(u-j) at each point, on logs
+    terms = exp[(log[np.take(N.coeffs, j)] + j * ll + (u - j) * lm)
+                % (field.q - 1)]
+    if 0 in lv or 0 in mv:  # a zero zeroes its positive powers; 0^0 = 1
+        terms[((ll < 0) & (j > 0)) | ((lm < 0) & (j < u))] = 0
+    return reduce(field.add_arrays, terms).tolist()
 
 
 def _tower_record(params, failed=None, predicted=None):
@@ -551,19 +561,14 @@ def _tower_outcome(field, r, hvals, m1, m, params, predicted):
     """The record of f = x^r H(x^(q-1))^m1 with its predicted verdict at m,
     holding f's form and m for observe_towers, from H's values hvals at the
     unit_subgroup_points u_j; an H with roots in U fails the hypotheses
-    instead.  h (deg <= q) interpolates H^m1 on U: c_i = sum_j h(u_j) u_j^-i,
-    with no 1/(q+1) as q + 1 = 1 in F_q, is sum_j h(u_j) y^j at g^(i q(q-1))."""
+    instead.  U = U_(q+1) is the form's U_ell, so h is cyclotomic's
+    forms_from_logs step on m1 log H: the interpolant of H^m1 on U, of
+    degree <= q, checked there through u_ell_values (RuntimeError if not)."""
     q, _ = quadratic_base(field)
     if not all(hvals):
         return _tower_record(params, "H has roots in U")
-    values = [field.pow(v, m1) for v in hvals]
-    h = Poly(field, eval_powers(field, [values], q * (q - 1), q + 1)[0].tolist())
-    try:
-        form = CycloForm(field, r, q - 1, h)
-    except HypothesisError:
-        form = None
-    if form is None or form.hlogs != tuple(field.log[v] for v in values):
-        raise RuntimeError("h does not interpolate H^m1 on U; arithmetic bug")
+    logs = m1 * field.arrays()[1][np.array(hvals)].astype(np.int64)
+    form = forms_from_logs(field, r, q - 1, [logs])[0]
     rec = _tower_record(params, None, predicted)
     rec["form"], rec["m"] = form, m
     return rec

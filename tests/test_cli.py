@@ -745,6 +745,51 @@ def test_formula_families_ignore_a_wrong_h_value_on_u_ell(capsys, monkeypatch,
     assert records() == clean
 
 
+# families whose forms come from cyclotomic.forms_from_logs, each with a
+# small grid
+INTERPOLATED = {"hd": ("--grid", "scan_qs=4"), "lift": ("--q", "9"),
+                "monomial": ("--q", "3"), "transfer": ()}
+
+
+@pytest.mark.parametrize("family", sorted(INTERPOLATED))
+def test_a_corrupted_interpolated_coefficient_exits_6(capsys, monkeypatch,
+                                                      family):
+    # the step checks every interpolant through u_ell_values: one wrong
+    # coefficient is an arithmetic bug, not a disagreement or a skip
+    evaluate = cyclotomic.eval_powers
+
+    def corrupted(spec, coeffs, step, count=None):
+        out = evaluate(spec, coeffs, step, count)
+        if count is not None:  # the step's call; the oracle's has no count
+            out[0, 0] = (out[0, 0] + 1) % spec.q
+        return out
+
+    monkeypatch.setattr(cyclotomic, "eval_powers", corrupted)
+    code, _, err = run_cli(capsys, "verify", family, *INTERPOLATED[family],
+                           "--jobs", "1")
+    assert code == cli.EXIT_CRASH
+    assert "arithmetic bug" in err
+
+
+def test_formula_families_build_no_poly_product_or_point_scan(capsys,
+                                                              monkeypatch):
+    # serial seed-0 monomial, hd, lift and transfer build h from value logs
+    # through forms_from_logs: no Poly product, power or per-point scan
+    from mto1.galois import Poly, build_field
+    calls = collections.Counter()
+    for name in ("__mul__", "__pow__", "eval_index"):
+        def counted(*args, name=name, fn=getattr(Poly, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(Poly, name, counted)
+    Poly.x(build_field(5)) ** 2
+    assert calls["__pow__"] == 1 and calls["__mul__"]  # the counters count
+    calls.clear()
+    for family in ("monomial", "hd", "lift", "transfer"):
+        assert _verify_records(capsys, family)[0] == cli.EXIT_OK
+        assert not calls, (family, calls)
+
+
 @pytest.mark.parametrize("coeffs, text", [((1, 0, 0), "1"),
                                           ((1, 12, 0), "1,12")],
                          ids=["non-hit", "root"])

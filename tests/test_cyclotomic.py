@@ -13,7 +13,7 @@ import mto1.cyclotomic as cyclotomic
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import (CycloForm, _row_censuses, brute_verdict_star,
                              conjunct_rule, count_rootless, decompose,
-                             fq_bridge, g_censuses,
+                             forms_from_logs, fq_bridge, g_censuses,
                              hd_family_predict, hd_poly,
                              hd_rootless_gcd, hd_rootless_scan,
                              infer_monomial_params, lift_from_permutation,
@@ -914,3 +914,37 @@ def test_star_censuses_rows_repeat_with_period_q_minus_1(name):
         logs, census = star_censuses(spec, s, hs, rs + [r + q1 for r in rs])
         assert (logs[:, :4] == logs[:, 4:]).all()
         assert (census[:, :4] == census[:, 4:]).all()
+
+
+@pytest.mark.parametrize("key", [(3, 2), (2, 4), (5, 2)],
+                         ids=["F9", "F16", "F25"])
+def test_forms_from_logs_interpolates_on_u_ell(key, fold):
+    # at every s | q-1: random value logs give forms whose h has degree
+    # < ell and gives them back on U_ell, and the logs of a rootless h of
+    # degree >= ell give its fold mod x^ell - 1, the one such interpolant
+    spec = build_field(*key)
+    q1 = spec.q - 1
+    exp = spec.arrays()[0]
+    rng = random.Random(f"interpolate-{spec.q}")
+    for s in [d for d in range(1, q1 + 1) if q1 % d == 0]:
+        ell = q1 // s
+        logs = [[rng.randrange(-q1, 3 * q1) for _ in range(ell)]
+                for _ in range(6)]
+        forms = forms_from_logs(spec, 3, s, logs)
+        for form, row in zip(forms, logs):
+            assert (form.r, form.s, form.ell) == (3, s, ell)
+            assert form.h.degree < ell
+            assert form.hlogs == tuple(v % q1 for v in row)
+            assert u_ell_values(spec, s, [form.h.coeffs])[0].tolist() == [
+                int(exp[v % q1]) for v in row]
+        folded = 0
+        while folded < 4:
+            h = Poly(spec, [rng.randrange(spec.q)
+                            for _ in range(rng.randrange(ell, 2 * ell + 3))]
+                     + [rng.randrange(1, spec.q)])
+            values = u_ell_values(spec, s, [h.coeffs])
+            if not values.all():
+                continue
+            form, = forms_from_logs(spec, 1, s, spec.arrays()[1][values])
+            assert form.h == fold(h, ell)
+            folded += 1

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-import mto1.unitline as unitline
+import mto1.cyclotomic as cyclotomic
 from mto1.criteria import HypothesisError
 from mto1.cyclotomic import CycloForm, brute_verdict_star, main_predict
 from mto1.galois import (FieldElement, Poly, build_field, eval_powers,
@@ -615,8 +615,9 @@ def test_tower_h_interpolates_the_fold_of_h_to_the_m1(q, fold):
 
 
 def test_tower_h_that_misses_its_values_is_an_arithmetic_bug(monkeypatch):
-    # CycloForm's scan must give back H^m1's values: an h that does not,
-    # rooted or not, raises RuntimeError, never a hypothesis failure
+    # the interpolant must give back H^m1's values through u_ell_values:
+    # an h that does not, rooted or not, raises RuntimeError, never a
+    # hypothesis failure
     spec = build_field(2, 4)
     units = unit_subgroup_points(spec)
     hvals = next(vals for c in range(2, spec.q)
@@ -624,7 +625,7 @@ def test_tower_h_that_misses_its_values_is_an_arithmetic_bug(monkeypatch):
                                  for u in units]))
     assert "form" in _tower_outcome(spec, 3, hvals, 3, 3, {}, True)
     for wrong in (lambda c: c * 0, lambda c: c[:, ::-1], lambda c: c ^ 1):
-        monkeypatch.setattr(unitline, "eval_powers",
+        monkeypatch.setattr(cyclotomic, "eval_powers",
                             lambda *a, wrong=wrong: wrong(eval_powers(*a)))
         with pytest.raises(RuntimeError, match="arithmetic bug"):
             _tower_outcome(spec, 3, hvals, 3, 3, {}, True)
