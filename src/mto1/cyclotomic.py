@@ -15,7 +15,8 @@ outside.  Every family, the squares of `decompose` and `reduction_chunks`
 and search's re-verification read it; `star_verdicts` answers many forms at
 once, and `star_fibers` and `brute_verdict_star` are its one-form views.
 On U_ell, `u_ell_values` (Horner) is the one evaluator and `forms_from_logs`
-the one step from h's value logs to forms: f reads h only there, so each
+the one step from h's value logs to forms (`coeffs_from_logs`, its checked
+half, gives h's coefficient rows alone): f reads h only there, so each
 product or power (M^k h, h_d(x^e)^t, (x^d - a)^(k m1), a tower's H^m1) is a
 sum of its factors' value logs, taken from u_ell_values on their
 coefficients, that the step interpolates.  `hlogs` comes from that step or
@@ -657,9 +658,7 @@ def u_ell_values(spec, s, coeffs):
     coeffs (h_i's coefficient indices, low to high): one numpy Horner pass by
     exp/log lookups and FieldSpec.add_arrays, never the oracle's routine."""
     q1, coeffs = spec.q - 1, np.asarray(coeffs)
-    exp, log = spec.arrays()
-    # log 0 -> 2(q-1): past exp's two periods, into zeros, so 0 * u = 0
-    exp, log = np.append(exp, 0 * exp[:q1]), np.where(log < 0, 2 * q1, log)
+    exp, log, _ = spec.zero_log_zech()  # log 0 looks up 0, so 0 * u = 0
     ulogs = np.arange(0, q1, s)
     values = np.repeat(coeffs[:, -1:], len(ulogs), axis=1)
     for c in coeffs.T[-2::-1]:
@@ -684,11 +683,12 @@ def u_ell_logs(spec, s, values):
     return spec.arrays()[1][values].astype(np.int64)
 
 
-def forms_from_logs(spec, r, s, logs):
-    """x^r h(x^s) for each row of logs (log h(u_j), j < ell, any ints), h the
-    interpolant of degree < ell: c_i = ell^-1 sum_j h(u_j) u_j^-i, one
-    eval_powers pass at step -s.  h must give back its values through
-    u_ell_values, else RuntimeError (an arithmetic bug); logs are its hlogs."""
+def coeffs_from_logs(spec, s, logs):
+    """The checked half of forms_from_logs: (coeffs, logs mod q-1), with
+    coeffs[i] the coefficient indices of the interpolant h of degree < ell
+    of row i of logs (log h(u_j), j < ell, any ints): c_i = ell^-1 sum_j
+    h(u_j) u_j^-i, one eval_powers pass at step -s.  Every h must give back
+    its values through u_ell_values, else RuntimeError (an arithmetic bug)."""
     q1, p = spec.q - 1, spec.p
     exp, log = spec.arrays()
     logs = np.asarray(logs) % q1
@@ -697,8 +697,17 @@ def forms_from_logs(spec, r, s, logs):
     if (u_ell_values(spec, s, coeffs) != exp[logs]).any():
         raise RuntimeError("the interpolant misses its values on U_ell; "
                            "arithmetic bug")
-    return [CycloForm(spec, r, s, Poly(spec, c), hlogs)
-            for c, hlogs in zip(coeffs.tolist(), logs.tolist())]
+    return coeffs, logs
+
+
+def forms_from_logs(spec, r, s, logs):
+    """x^r h(x^s) for each row of logs, h the checked interpolant of
+    coeffs_from_logs and the logs its hlogs; r is one exponent for every
+    row or a list of one per row."""
+    coeffs, logs = coeffs_from_logs(spec, s, logs)
+    rs = [r] * len(logs) if isinstance(r, int) else r
+    return [CycloForm(spec, ri, s, Poly(spec, c), hlogs)
+            for ri, c, hlogs in zip(rs, coeffs.tolist(), logs.tolist())]
 
 
 def random_rootless_form(spec, s, max_degree, rng):

@@ -137,7 +137,8 @@ class FieldSpec:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "exp", "log", "tokens", "_gen",
-                 "_modmask", "_arrays", "_zech", "_zech_array", "__weakref__")
+                 "_modmask", "_arrays", "_zech", "_zech_array",
+                 "_zero_log_zech", "__weakref__")
 
     def __init__(self, p, n=1, modulus=None):
         if not is_prime(p):
@@ -162,6 +163,7 @@ class FieldSpec:
         self.modulus = modulus
         self._modmask = _coeffs_to_idx(modulus, p)  # the modulus as an index
         self._arrays = self._zech = self._zech_array = None
+        self._zero_log_zech = None
         self.tokens = _Tokens()  # format_element's token by index, on demand
         self.tokens.spec = self
         self._build_tables()
@@ -257,17 +259,38 @@ class FieldSpec:
         return 0 if z < 0 else self.exp[li + z]
 
     def add_arrays(self, a, b):
-        """add on numpy index arrays a and b, broadcast together."""
+        """add on numpy index arrays a and b, broadcast together; in odd
+        characteristic extensions, one lookup of zero_log_zech's table at
+        log b - log a gives log(a + b) - log a, zeros included."""
         if self.p == 2:
             return a ^ b
         if self.n == 1:
             return (a + b) % self.p
-        exp, log = self.arrays()
-        self._zech or self._build_zech()
-        la, lb = log[a], log[b]
-        z = self._zech_array[(lb - la) % (self.q - 1)]
-        out = np.where(z < 0, 0, exp[la + z])  # stray entries where a or b = 0
-        return np.where(la < 0, b, np.where(lb < 0, a, out))
+        exp, log, zech = self.zero_log_zech()
+        la = log.take(a)
+        return exp.take(la + zech.take(log.take(b) - la))
+
+    def zero_log_zech(self):
+        """(exp, log, zech) as int32 arrays, built once on first use: log 0
+        is 2(q-1), exp is zero from 2(q-1) on, so a sum of logs that counts
+        a 0 looks up 0, and zech[d] (d in [-2(q-1), 2(q-1)], negative d from
+        the end) is log(a + b) - log a at d = log b - log a: log(1 + g^d)
+        for nonzero a, b (2(q-1) where 1 + g^d = 0), d itself where a = 0
+        and 0 where b = 0."""
+        if self._zero_log_zech is None:
+            q1 = self.q - 1
+            exp, log = self.arrays()
+            zexp = np.zeros(4 * q1 + 1, dtype=np.int32)
+            zexp[:2 * q1] = exp
+            zlog = np.where(log < 0, 2 * q1, log).astype(np.int32)
+            d = np.arange(4 * q1 + 1)
+            d[2 * q1 + 1:] -= len(d)  # slot i holds d = i, or i - len(d)
+            self._zech or self._build_zech()
+            z = self._zech_array[d % q1]
+            zech = np.where(d < -q1, d, np.where(
+                d > q1, 0, np.where(z < 0, 2 * q1, z))).astype(np.int32)
+            self._zero_log_zech = (zexp, zlog, zech)
+        return self._zero_log_zech
 
     def _build_zech(self):
         """Z[k] = log(1 + g^k), -1 where 1 + g^k = 0, as an array and as a

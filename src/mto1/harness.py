@@ -15,7 +15,8 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import partial, reduce
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from multiprocessing import Pool, cpu_count
 from typing import Callable, NamedTuple
@@ -24,11 +25,11 @@ from .criteria import (CommutativeSquare, GroupModel, HypothesisError,
                        _fibers_of, construction1_verdict,
                        construction2_verdict, construction3_verdict,
                        local_criterion_check)
-from .cyclotomic import (CycloForm, conjunct_text, decompose,
-                         forms_from_logs, hd_family_predict, hd_rootless_gcd,
-                         hd_rootless_scan, lift_from_permutation,
-                         monomial_predict, count_rootless, permutes_field,
-                         predict_from, random_rootless_form,
+from .cyclotomic import (CycloForm, coeffs_from_logs, conjunct_text,
+                         count_rootless, decompose, forms_from_logs,
+                         hd_family_predict, hd_rootless_gcd, hd_rootless_scan,
+                         lift_from_permutation, monomial_predict,
+                         permutes_field, predict_from, random_rootless_form,
                          random_rootless_forms, random_rootless_poly,
                          reduction_chunks, rootless_censuses,
                          small_ell_predict, small_m_predict, star_census,
@@ -38,13 +39,12 @@ from .galois import (MAX_FIELD_SIZE, FieldElement, Poly, ScaleError,
 from .multiplicity import (ENUMERATION_MAX_Q, FiniteMapping, IndexMapping,
                            check_m_to_1, count_by_enumeration, count_formula,
                            fibers_verdict)
-from .unitline import (base_trace, frob_q, g3_families, g5_family,
-                       g_permutation_lemma, halfplane_split, line_pair_deg1,
-                       line_poly_deg1, line_poly_rk, observe_towers,
-                       quartic_rootless_lemma, tower_gbar_predict,
-                       tower_line_predict, tower_unit_predict,
-                       transfer_families, unit_pair_deg1, unit_pair_g3,
-                       unit_subgroup_points)
+from .unitline import (g3_families, g5_family, g_permutation_lemma,
+                       halfplane_split, line_pair_deg1, line_poly_deg1,
+                       line_poly_rk, observe_towers, quartic_rootless_lemma,
+                       tower_gbar_predict, tower_line_predict,
+                       tower_unit_predict, transfer_families, unit_pair_deg1,
+                       unit_pair_g3, unit_subgroup_points)
 
 
 @dataclass
@@ -312,37 +312,61 @@ def _eval_ell2_corollary(params):
 
 @evaluator("monomial_grid")
 def _eval_monomial_grid(params):
-    """F_{q^2} family x^r (x^(d(q-1)) - a)^(k m1) with a^(q+1) = 1, a^t != 1:
-    the monomial predicate, the main reduction, the closed-form gcd condition
-    and the oracle must all agree, at every m <= min(m1 (q+1), 24)."""
-    spec = _field(tuple(params["field"]))
-    q = params["q"]
-    d, k, r = params["d"], params["k"], params["r"]
-    t = (q + 1) // math.gcd(d, q + 1)
+    """F_{q^2} family x^r (x^(d(q-1)) - a)^(k m1) with a^(q+1) = 1, a^t != 1,
+    at one (q, r) and every d <= dmax, k <= kmax: the monomial predicate,
+    the main reduction, the closed-form gcd condition and the oracle must all
+    agree, at every m <= min(m1 (q+1), 24).  One u_ell_values pass, one
+    forms_from_logs step and one reduction_chunks call cover every (d, k, a);
+    each (d, k) gets its own record, skipped where no a qualifies."""
+    fk = tuple(params["field"])
+    spec = _field(fk)
+    q, r, dmax = params["q"], params["r"], params["dmax"]
     m1 = math.gcd(r, q - 1)
-    tally = _Tally()
-    cases = [FieldElement(spec, a_i) for a_i in unit_subgroup_points(spec)
-             if spec.pow(a_i, t) != 1]
-    if not cases:
-        return [_record({"q": q, "d": d, "k": k, "r": r}, None, None,
-                        skipped="hypothesis: no a with a^(q+1)=1 and a^t != 1")]
-    # h = (x^d - a)^(k m1) from the values of x^d - a on U_(q+1)
-    factors = [[(-a).index] + [0] * (d - 1) + [1] for a in cases]
-    forms = forms_from_logs(spec, r, q - 1, k * m1 * u_ell_logs(
-        spec, q - 1, u_ell_values(spec, q - 1, factors)))
+    units = unit_subgroup_points(spec)
+    cells, factors = [], []  # (d, k, its a, first row); rows of x^d - a
+    for d in range(1, dmax + 1):
+        t = (q + 1) // math.gcd(d, q + 1)
+        cases = [a for a in units if spec.pow(a, t) != 1]
+        cells += [(d, k, cases, len(factors))
+                  for k in range(1, params["kmax"] + 1)]
+        factors += [[spec.neg(a)] + [0] * (d - 1) + [1] + [0] * (dmax - d)
+                    for a in cases]
+    forms = []
+    if factors:  # h = (x^d - a)^(k m1) from the values of x^d - a on U_(q+1)
+        logs = u_ell_logs(spec, q - 1, u_ell_values(spec, q - 1, factors))
+        forms = forms_from_logs(spec, r, q - 1, [
+            k * m1 * row for _, k, cases, first in cells
+            for row in logs[first:first + len(cases)]])
     pairs = [(r, m) for m in range(1, min(m1 * (q + 1), 24) + 1)]
-    for a, red in zip(cases, reduction_chunks(spec, q - 1, forms, pairs)):
-        mono_m = monomial_predict(red.form, (-a) ** (-k), -k * d)["m"]
-        for (_, m), code, observed in zip(pairs, red.codes, red.observed):
-            mono = m == mono_m
-            main_v = code == 0
-            closed = (m % m1 == 0
-                      and math.gcd(r // m1 - k * d, q + 1) == m // m1)
-            if not tally.check(mono == main_v == observed == closed):
-                tally.bad.append({"a": str(a), "m": m, "mono": mono,
-                                  "main": main_v, "oracle": observed,
-                                  "closed_form": closed})
-    return [tally.record({"q": q, "d": d, "k": k, "r": r})]
+    reds = reduction_chunks(spec, q - 1, forms, pairs)
+    records = []
+    for d, k, cases, _ in cells:
+        cell = {"q": q, "d": d, "k": k, "r": r}
+        if not cases:
+            records.append(_record(cell, None, None, skipped=(
+                "hypothesis: no a with a^(q+1)=1 and a^t != 1")))
+            continue
+        tally = _Tally()
+        try:
+            for ai, red in zip(cases, list(islice(reds, len(cases)))):
+                a = FieldElement(spec, ai)
+                mono_m = monomial_predict(red.form, (-a) ** (-k), -k * d)["m"]
+                for (_, m), code, observed in zip(pairs, red.codes,
+                                                  red.observed):
+                    mono = m == mono_m
+                    main_v = code == 0
+                    closed = (m % m1 == 0
+                              and math.gcd(r // m1 - k * d, q + 1) == m // m1)
+                    if not tally.check(mono == main_v == observed == closed):
+                        tally.bad.append({"a": str(a), "m": m, "mono": mono,
+                                          "main": main_v, "oracle": observed,
+                                          "closed_form": closed})
+        except HypothesisError as err:  # as a one-cell work item reports it
+            records.append(_record(dict(cell, field=fk), None, None,
+                                   skipped=f"hypothesis: {err}"))
+            continue
+        records.append(tally.record(cell))
+    return records
 
 
 @evaluator("hd_root_lemma")
@@ -415,9 +439,9 @@ def _conforming_twist(spec, s, m1, rng):
     if t1 < 1:
         t1 += ell
     wlogs = u_ell_logs(spec, s, u_ell_values(spec, s, [W.coeffs]))
-    M = forms_from_logs(spec, 1, s, ell * m1 * wlogs
-                        + [a * s * j for j in range(ell)])[0].h
-    return M, m1 * t1
+    (M,), _ = coeffs_from_logs(spec, s, ell * m1 * wlogs
+                               + [a * s * j for j in range(ell)])
+    return Poly(spec, M.tolist()), m1 * t1
 
 
 @evaluator("lift")
@@ -552,19 +576,21 @@ def _eval_transfer_q2(params):
 
 
 # -- tower draws ----------------------------------------------------------------
+#
+# Draws are element indices; the closed-form conditions are index arithmetic.
 
 def _rand_elt(spec, rng, nonzero=False):
-    return FieldElement(spec, rng.randrange(1 if nonzero else 0, spec.q))
+    return rng.randrange(1 if nonzero else 0, spec.q)
 
 
-def _norm_neq(spec, x, y):
+def _norm_neq(spec, x, y, q):
     """x^(q+1) != y^(q+1) (relative norms differ)."""
-    return x * frob_q(spec, x) != y * frob_q(spec, y)
+    return spec.pow(x, q + 1) != spec.pow(y, q + 1)
 
 
 def _ratio_neq(spec, x, y, q):
     """x^(q-1) != y^(q-1), for nonzero x, y."""
-    return spec.pow(x.index, q - 1) != spec.pow(y.index, q - 1)
+    return spec.pow(x, q - 1) != spec.pow(y, q - 1)
 
 
 def _pick_r(rng, q, m1, target, tries=64):
@@ -599,21 +625,21 @@ def _eval_tower_batch(params):
         m1 = rng.choice(_divisors(q - 1))
         if fam in ("r1l1", "r3"):
             gamma, delta = _rand_elt(spec, rng), _rand_elt(spec, rng)
-            if gamma.is_zero and delta.is_zero:
+            if not gamma and not delta:
                 continue
             inner = unit_pair_deg1(spec, gamma, delta)
-            cond = _norm_neq(spec, gamma, delta)
+            cond = _norm_neq(spec, gamma, delta, q)
             if fam == "r1l1":
                 alpha, beta = _rand_elt(spec, rng), _rand_elt(spec, rng)
                 outer = unit_pair_deg1(spec, alpha, beta)
-                cond = cond and _norm_neq(spec, alpha, beta)
+                cond = cond and _norm_neq(spec, alpha, beta, q)
                 target = n
             else:
-                ci = rng.choice(subfield_indices(spec, half)[1:])
-                c = FieldElement(spec, ci)
+                c = rng.choice(subfield_indices(spec, half)[1:])
                 outer = unit_pair_g3(spec, c)
-                cond = cond and base_trace(spec,
-                                           spec.one + spec.one / c).is_zero
+                x = spec.add(1, spec.inv(c))  # Tr_{q/2}(1 + 1/c) = 0
+                cond = cond and reduce(spec.add, (
+                    spec.frob(x, i) for i in range(half))) == 0
                 target = 3 * n
         else:  # the towers through F_q + {INF}: fq_r1l1, rk, gbar
             gamma = _rand_elt(spec, rng, nonzero=True)
@@ -634,13 +660,13 @@ def _eval_tower_batch(params):
                     tally.skipped += 1
                     continue
                 target = n * k
-                cond = cond and _norm_neq(spec, g2, d2)
+                cond = cond and _norm_neq(spec, g2, d2, q)
             else:
                 N = line_poly_deg1(spec, alpha, beta)
                 target = 3 if fam == "gbar" else n
             if fam == "gbar":
                 pole = _rand_elt(spec, rng)
-                cond = cond and frob_q(spec, pole) != pole
+                cond = cond and spec.frob(pole, half) != pole
         r = _pick_r(rng, q, m1, target)
         if r is None:
             tally.skipped += 1
@@ -898,11 +924,11 @@ def _monomial_items(o, seed):
     for q in o["qs"]:
         fk = _q2_field_key(q)
         dmax = q + 1 if o["dmax"] is None else o["dmax"]
-        for d in range(1, dmax + 1):
-            for k in range(1, o["kmax"] + 1):
-                for r in range(1, o["rmax"] + 1):
-                    yield ("monomial_grid", {"field": fk, "q": q, "d": d,
-                                             "k": k, "r": r})
+        if min(dmax, o["kmax"]) < 1:
+            continue  # an empty (d, k) grid
+        for r in range(1, o["rmax"] + 1):
+            yield ("monomial_grid", {"field": fk, "q": q, "r": r,
+                                     "dmax": dmax, "kmax": o["kmax"]})
 
 
 def _hd_items(o, seed):

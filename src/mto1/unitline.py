@@ -13,14 +13,15 @@ guarantees it: the scan doubles as a test of the lemma.
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from .criteria import HypothesisError
 from .cyclotomic import (CycloForm, coeff_rows, forms_from_logs,
                          star_verdicts, u_ell_logs, u_ell_values)
-from .galois import (FieldElement, FieldError, Poly, eval_powers,
+from .galois import (FieldElement, FieldError, FieldSpec, Poly, eval_powers,
                      quadratic_base, relative_trace, subfield_indices)
 from .multiplicity import fibers_verdict, sorted_row_censuses
 
@@ -203,7 +204,7 @@ def _bijects(field, nums, dens, targets):
     scan, hit every one of targets (element indices, INF for infinity)
     exactly once?  A den of 0 gives INF and 0/0 raises RationalEvalError; the
     first miss or repeat, in point order, gives False."""
-    mul, inv = field.mul, field.inv
+    exp, log, q1 = field.exp, field.log, field.q - 1
     seen = set()
     for nv, dv in zip(nums, dens):
         if dv == 0:
@@ -211,46 +212,57 @@ def _bijects(field, nums, dens, targets):
                 raise RationalEvalError("0/0 in a bijection scan")
             key = INF
         else:
-            key = mul(nv, inv(dv))
+            key = exp[log[nv] - log[dv] + q1] if nv else 0
         if key not in targets or key in seen:
             return False
         seen.add(key)
     return len(seen) == len(targets)
 
 
-def _values(points, *polys):
-    """Each polynomial's values at the points (indices), a list per poly."""
-    return [list(map(P.eval_index, points)) for P in polys]
+def _index(x):
+    """An element's index: the public functions take FieldElements or
+    indices, the scans below work on indices."""
+    return x.index if isinstance(x, FieldElement) else x
 
 
-def _line_values(rmap, line):
-    """rmap's num and den values at the line's finite points, then at INF,
-    where rat_eval's degree rule gives the value."""
-    nums, dens = _values(line, rmap.num, rmap.den)
-    at_inf = rat_eval(rmap, INF)
-    if at_inf is INF:
+def _unit_values(field, *polys):
+    """Each polynomial's values on U_{q+1}, in unit_subgroup_points order:
+    one u_ell_values pass (s = q-1), a list per poly."""
+    q, _ = quadratic_base(field)
+    return u_ell_values(field, q - 1, coeff_rows(polys)).tolist()
+
+
+def _line_values(field, num, den):
+    """num's and den's values on the line: at the points of subfield_indices
+    (0, then F_q^*, the u_ell_values points at s = q+1), then at INF, where
+    rat_eval's degree rule gives num/den's value."""
+    q, _ = quadratic_base(field)
+    rows = u_ell_values(field, q + 1, coeff_rows([num, den])).tolist()
+    nums, dens = ([P.coeffs[0] if P.coeffs else 0] + row
+                  for P, row in zip((num, den), rows))
+    if num.degree > den.degree:
         return nums + [1], dens + [0]
-    return nums + [at_inf.index], dens + [1]
+    at_inf = 0 if num.degree < den.degree else field.mul(
+        num.leading_index(), field.inv(den.leading_index()))
+    return nums + [at_inf], dens + [1]
 
 
 def permutes_unit_scan(rmap, field):
     """Exhaustive: does the rational map rmap permute U_{q+1}?"""
-    units = unit_subgroup_points(field)
-    return _bijects(field, *_values(units, rmap.num, rmap.den), set(units))
+    return _bijects(field, *_unit_values(field, rmap.num, rmap.den),
+                    set(unit_subgroup_points(field)))
 
 
 def unit_to_line_scan(rmap, field):
     """Exhaustive: does rmap map U_{q+1} bijectively onto F_q + {INF}?"""
     _, half = quadratic_base(field)
-    units = unit_subgroup_points(field)
-    return _bijects(field, *_values(units, rmap.num, rmap.den),
+    return _bijects(field, *_unit_values(field, rmap.num, rmap.den),
                     set(subfield_indices(field, half)) | {INF})
 
 
 def line_to_unit_scan(rmap, field):
     """Exhaustive: does rmap map F_q + {INF} bijectively onto U_{q+1}?"""
-    _, half = quadratic_base(field)
-    return _bijects(field, *_line_values(rmap, subfield_indices(field, half)),
+    return _bijects(field, *_line_values(field, rmap.num, rmap.den),
                     set(unit_subgroup_points(field)))
 
 
@@ -521,33 +533,55 @@ def transfer_families(field, base, c=None, d=3, k=1):
 
 
 # -- tower constructions ----------------------------------------------------------
+#
+# The towers work on element indices: a pair (L, M, eps, t) holds L and M as
+# Polys and eps as an index (the public functions also take FieldElements),
+# L, M and N are evaluated on U_{q+1} and on the line by u_ell_values, and
+# the scans and H's denominator clearing are scalar passes over those values.
 
-def _pair_identity_scan(field, units, lvals, mvals, eps, t):
+def _pair_identity_scan(field, lvals, mvals, eps, t):
     """L(x) = eps * x^t * M(x)^q for all x in U_{q+1}?  lvals and mvals hold
-    L and M at the points units."""
-    _, half = quadratic_base(field)
-    mul, pow_, frob = field.mul, field.pow, field.frob
-    return all(lv == mul(eps.index, mul(pow_(i, t), frob(mv, half)))
-               for i, lv, mv in zip(units, lvals, mvals))
+    L and M at the unit_subgroup_points u_j = g^(j(q-1)), eps is an index;
+    on logs, log L(u_j) = log eps + t j (q-1) + q log M(u_j)."""
+    if not eps:
+        return not any(lvals)
+    q, _ = quadratic_base(field)
+    log, q1 = field.log, field.q - 1
+    le = log[eps]
+    return all(lv == 0 if mv == 0 else lv != 0 and (
+        log[lv] - le - t * j * (q - 1) - q * log[mv]) % q1 == 0
+        for j, (lv, mv) in enumerate(zip(lvals, mvals)))
 
 
 def _clear_denominators(field, N, lv, mv, u=None):
     """M^u * N(L/M) = sum a_j L^j M^(u-j) at each point, from L's values lv
     and M's values mv there; u defaults to deg N and may exceed it (the unit
-    tower clears with the pair's t, not the degree)."""
+    tower clears with the pair's t, not the degree).  A scalar pass on logs:
+    the points are few, so a numpy pass would cost more than it saves."""
     if u is None:
         u = N.degree
     if u < N.degree:
         raise ValueError("clearing exponent below deg N")
-    exp, log = field.arrays()
-    j = np.flatnonzero(N.coeffs)[:, None]
-    ll, lm = log[lv], log[mv]
-    # a_j l^j m^(u-j) at each point, on logs
-    terms = exp[(log[np.take(N.coeffs, j)] + j * ll + (u - j) * lm)
-                % (field.q - 1)]
-    if 0 in lv or 0 in mv:  # a zero zeroes its positive powers; 0^0 = 1
-        terms[((ll < 0) & (j > 0)) | ((lm < 0) & (j < u))] = 0
-    return reduce(field.add_arrays, terms).tolist()
+    exp, log, add, q1 = field.exp, field.log, field.add, field.q - 1
+    terms = [(j, log[a]) for j, a in enumerate(N.coeffs) if a]
+    out = []
+    for lval, mval in zip(lv, mv):
+        ll, lm, acc = log[lval], log[mval], 0
+        for j, la in terms:  # a zero zeroes its positive powers; 0^0 = 1
+            if (lval or not j) and (mval or j == u):
+                acc = add(acc, exp[(la + j * ll + (u - j) * lm) % q1])
+        out.append(acc)
+    return out
+
+
+class PendingForm(NamedTuple):
+    """f = x^r h(x^(q-1)) over a field F_{q^2}, with h known by its value
+    logs on U_(q+1) (unit_subgroup_points order) until tower_forms
+    interpolates it."""
+
+    field: FieldSpec
+    r: int
+    logs: list
 
 
 def _tower_record(params, failed=None, predicted=None):
@@ -559,30 +593,40 @@ def _tower_record(params, failed=None, predicted=None):
 
 def _tower_outcome(field, r, hvals, m1, m, params, predicted):
     """The record of f = x^r H(x^(q-1))^m1 with its predicted verdict at m,
-    holding f's form and m for observe_towers, from H's values hvals at the
-    unit_subgroup_points u_j; an H with roots in U fails the hypotheses
-    instead.  U = U_(q+1) is the form's U_ell, so h is cyclotomic's
-    forms_from_logs step on m1 log H: the interpolant of H^m1 on U, of
-    degree <= q, checked there through u_ell_values (RuntimeError if not)."""
-    q, _ = quadratic_base(field)
+    from H's values hvals (indices) at the unit_subgroup_points u_j; an H
+    with roots in U fails the hypotheses instead.  A passing record holds
+    f under "form" as a PendingForm with m1 log H, the logs of H^m1 on U
+    (U = U_(q+1) is the form's U_ell), and m, both for observe_towers; no
+    numpy call and no interpolation happen here."""
     if not all(hvals):
         return _tower_record(params, "H has roots in U")
-    logs = m1 * field.arrays()[1][np.array(hvals)].astype(np.int64)
-    form = forms_from_logs(field, r, q - 1, [logs])[0]
+    log = field.log
     rec = _tower_record(params, None, predicted)
-    rec["form"], rec["m"] = form, m
+    rec["form"] = PendingForm(field, r, [m1 * log[v] for v in hvals])
+    rec["m"] = m
     return rec
+
+
+def tower_forms(pending):
+    """The CycloForms of PendingForms over one field: h is the interpolant
+    on U of degree <= q of each one's logs, all from one forms_from_logs
+    step, which checks every h there through u_ell_values (RuntimeError if
+    one misses)."""
+    q, _ = quadratic_base(pending[0].field)
+    return forms_from_logs(pending[0].field, [p.r for p in pending], q - 1,
+                           [p.logs for p in pending])
 
 
 def observe_towers(records):
     """Fill in "observed" and "agree" of the tower records that hold a form
-    (all over one field) from the F_{q^2}^* scan, in shared oracle calls;
-    returns records."""
+    (all over one field): one tower_forms step over every pending record,
+    then the F_{q^2}^* scan in shared oracle calls; returns records."""
     pending = [rec for rec in records if "form" in rec]
     if pending:
-        verdicts = star_verdicts([rec.pop("form") for rec in pending],
-                                 [[rec.pop("m")] for rec in pending])
+        forms = tower_forms([rec["form"] for rec in pending])
+        verdicts = star_verdicts(forms, [[rec.pop("m")] for rec in pending])
         for rec, (verdict,) in zip(pending, verdicts):
+            del rec["form"]
             rec["observed"] = verdict
             rec["agree"] = rec["predicted"] == verdict
     return records
@@ -601,16 +645,16 @@ def _line_tower_failure(field, half, pair, N, lv, mv):
     units, line = unit_subgroup_points(field), subfield_indices(field, half)
     # both polynomials must satisfy P = eps x^t P^q on U, with the same eps, t
     for name, vals in (("L", lv), ("M", mv)):
-        if not _pair_identity_scan(field, units, vals, vals, eps, t):
+        if not _pair_identity_scan(field, vals, vals, _index(eps), t):
             return f"{name} != eps x^t {name}^q on U"
     try:
         if not _bijects(field, lv, mv, set(line) | {INF}):
             return "L/M is not a bijection U -> line"
     except RationalEvalError:
         return "L/M hits 0/0 on U"
-    nq = RationalMap(N.frobenius(half), N)
     try:
-        if not _bijects(field, *_line_values(nq, line), set(units)):
+        if not _bijects(field, *_line_values(field, N.frobenius(half), N),
+                        set(units)):
             return "N^(q)/N is not a bijection line -> U"
     except RationalEvalError:
         return "N^(q)/N hits 0/0 on the line"
@@ -635,14 +679,14 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     params = {"n": n, "r": r, "m": m, "m1": m1}
 
     units = unit_subgroup_points(field)
-    values = {}
-    for name, (L, M, eps, t) in (("inner", inner), ("outer", outer)):
+    lv1, mv1, lv2, mv2 = _unit_values(field, L1, M1, L2, M2)
+    for name, (_, M, eps, t), lv, mv in (("inner", inner, lv1, mv1),
+                                         ("outer", outer, lv2, mv2)):
         if t < M.degree:
             return _tower_record(params, f"{name}: t < deg M")
-        lv, mv = values[name] = _values(units, L, M)
         if not all(mv):
             return _tower_record(params, f"{name}: M has roots in U")
-        if not _pair_identity_scan(field, units, lv, mv, eps, t):
+        if not _pair_identity_scan(field, lv, mv, _index(eps), t):
             return _tower_record(params, f"{name}: L != eps x^t M^q on U")
         if not _bijects(field, lv, mv, set(units)):
             return _tower_record(params, f"{name}: L/M does not permute U")
@@ -651,8 +695,8 @@ def tower_unit_predict(field, inner, outer, n, r, m):
     if not 1 <= m <= m1 * (q + 1):
         return _tower_record(params, "m out of range")
 
-    lv, mv = ([field.pow(v, n) for v in vals] for vals in values["inner"])
-    H = _clear_denominators(field, M2, lv, mv, u=t2)
+    H = _clear_denominators(field, M2, [field.pow(v, n) for v in lv1],
+                            [field.pow(v, n) for v in mv1], u=t2)
     predicted = m % m1 == 0 and math.gcd(n, q + 1) == m // m1
     return _tower_outcome(field, r, H, m1, m, params, predicted)
 
@@ -670,7 +714,7 @@ def tower_line_predict(field, pair, N, n, r, m):
     m1 = math.gcd(r, q - 1)
     params = {"n": n, "r": r, "m": m, "m1": m1, "u": u}
 
-    lv, mv = _values(unit_subgroup_points(field), L, M)
+    lv, mv = _unit_values(field, L, M)
     failed = _line_tower_failure(field, half, pair, N, lv, mv)
     if failed:
         return _tower_record(params, failed)
@@ -698,66 +742,66 @@ def tower_gbar_predict(field, pair, N, alpha, r):
     L, M, eps, t = pair
     u = N.degree
     m1 = math.gcd(r, q - 1)
-    aq = frob_q(field, alpha)
-    sigma = alpha + aq
-    params = {"r": r, "m1": m1, "u": u, "sigma_is_one": sigma == field.one}
+    alpha = _index(alpha)
+    aq = field.frob(alpha, half)
+    si, pi = field.add(alpha, aq), field.mul(alpha, aq)
+    params = {"r": r, "m1": m1, "u": u, "sigma_is_one": si == 1}
     if aq == alpha:
         return _tower_record(params, "alpha lies in F_q")
-    lv, mv = _values(unit_subgroup_points(field), L, M)
+    lv, mv = _unit_values(field, L, M)
     failed = _line_tower_failure(field, half, pair, N, lv, mv)
     if failed:
         return _tower_record(params, failed)
     if (r // m1) % (q + 1) != (3 * t * u) % (q + 1):
         return _tower_record(params, "congruence r/m1 = 3 t u mod q+1")
 
-    si, pi = sigma.index, (alpha * aq).index
     # gbar o L/M = h1/h2: the cubics (sigma, pi, sigma, 1) and (pi, sigma, 1)
     # cleared in (L, M)
     h1, h2 = (_clear_denominators(field, Poly(field, cs), lv, mv, u=3)
               for cs in ((si, pi, si, 1), (pi, si, 1)))
     H = _clear_denominators(field, N, h1, h2)
-    return _tower_outcome(field, r, H, m1, m1, params, sigma == field.one)
+    return _tower_outcome(field, r, H, m1, m1, params, si == 1)
 
 
 # -- ready-made (L, M, eps, t) pairs ----------------------------------------------
 
 def unit_pair_deg1(field, gamma, delta):
     """(delta^q x + gamma^q, gamma x + delta, 1, 1): permutes U_{q+1} iff
-    gamma^(q+1) != delta^(q+1)."""
-    gq, dq = frob_q(field, gamma), frob_q(field, delta)
-    L = Poly.from_elements(field, (gq, dq))
-    M = Poly.from_elements(field, (delta, gamma))
-    return L, M, field.one, 1
+    gamma^(q+1) != delta^(q+1).  gamma and delta are FieldElements or
+    indices; the pair holds indices."""
+    _, half = quadratic_base(field)
+    gamma, delta = _index(gamma), _index(delta)
+    L = Poly(field, (field.frob(gamma, half), field.frob(delta, half)))
+    return L, Poly(field, (delta, gamma)), 1, 1
 
 
 def unit_pair_g3(field, c):
     """(c x^3 + x^2 + 1, x^3 + x + c, 1, 3): permutes U_{q+1} iff
     Tr_{q/2}(1 + 1/c) = 0 (q even)."""
-    one = field.one
-    L = Poly.from_elements(field, (one, field.zero, one, c))
-    M = Poly.from_elements(field, (c, one, field.zero, one))
-    return L, M, field.one, 3
+    c = _index(c)
+    return Poly(field, (1, 0, 1, c)), Poly(field, (c, 1, 0, 1)), 1, 3
 
 
 def line_pair_deg1(field, gamma, delta):
     """(gamma x + gamma^q, delta x + delta^q, 1, 1): bijects U_{q+1} onto
     F_q + {INF} iff gamma^(q-1) != delta^(q-1) (gamma, delta nonzero)."""
-    L = Poly.from_elements(field, (frob_q(field, gamma), gamma))
-    M = Poly.from_elements(field, (frob_q(field, delta), delta))
-    return L, M, field.one, 1
+    _, half = quadratic_base(field)
+    L, M = (Poly(field, (field.frob(x, half), x))
+            for x in (_index(gamma), _index(delta)))
+    return L, M, 1, 1
 
 
 def line_poly_deg1(field, alpha, beta):
     """N = alpha x + beta; N^(q)/N bijects the line onto U_{q+1} iff
     alpha^(q-1) != beta^(q-1) (both nonzero)."""
-    return Poly.from_elements(field, (beta, alpha))
+    return Poly(field, (_index(beta), _index(alpha)))
 
 
 def line_poly_rk(field, alpha, beta, gamma, delta, k):
     """N = gamma (alpha x + beta)^k + delta (alpha^q x + beta^q)^k, the k-step
     tower poly; bijects when (k, q+1) = 1, alpha^(q-1) != beta^(q-1) and
-    gamma^(q+1) != delta^(q+1)."""
-    base1 = Poly.from_elements(field, (beta, alpha)) ** k
-    base2 = Poly.from_elements(
-        field, (frob_q(field, beta), frob_q(field, alpha))) ** k
-    return base1.scale(gamma) + base2.scale(delta)
+    gamma^(q+1) != delta^(q+1).  The second power is the first's conjugate."""
+    _, half = quadratic_base(field)
+    base = Poly(field, (_index(beta), _index(alpha))) ** k
+    return (Poly(field, (_index(gamma),)) * base
+            + Poly(field, (_index(delta),)) * base.frobenius(half))

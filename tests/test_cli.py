@@ -748,7 +748,8 @@ def test_formula_families_ignore_a_wrong_h_value_on_u_ell(capsys, monkeypatch,
 # families whose forms come from cyclotomic.forms_from_logs, each with a
 # small grid
 INTERPOLATED = {"hd": ("--grid", "scan_qs=4"), "lift": ("--q", "9"),
-                "monomial": ("--q", "3"), "transfer": ()}
+                "monomial": ("--q", "3"), "transfer": (),
+                "towers": ("--q", "3", "--draws", "10")}
 
 
 @pytest.mark.parametrize("family", sorted(INTERPOLATED))
@@ -788,6 +789,82 @@ def test_formula_families_build_no_poly_product_or_point_scan(capsys,
     for family in ("monomial", "hd", "lift", "transfer"):
         assert _verify_records(capsys, family)[0] == cli.EXIT_OK
         assert not calls, (family, calls)
+
+
+def _count_calls(monkeypatch, owners, name):
+    """Wrap the attribute name of every owner with one shared call count."""
+    calls = collections.Counter()
+    for owner in owners:
+        def counted(*args, fn=getattr(owner, name), **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_towers_interpolate_once_per_item_on_indices(capsys, monkeypatch):
+    # serial seed-0 towers: one values -> forms step per work item, draws
+    # and scans on element indices (no Poly.eval_index, few FieldElements)
+    import mto1.unitline as unitline
+    from mto1.galois import FieldElement, Poly, build_field
+    steps = _count_calls(monkeypatch, (unitline,), "forms_from_logs")
+    evals = _count_calls(monkeypatch, (Poly,), "eval_index")
+    made = _count_calls(monkeypatch, (FieldElement,), "__init__")
+    spec = build_field(3, 2)
+    Poly.x(spec).eval_index(spec.one.index)
+    assert evals["eval_index"] == 1 and made["__init__"] == 1  # they count
+    evals.clear()
+    made.clear()
+    items = build_instances(VerifyJob("towers"))
+    assert len(items) == 190
+    code, records, _ = _verify_records(capsys, "towers")
+    assert code == cli.EXIT_OK and len(records) == len(items)
+    assert 0 < steps["forms_from_logs"] <= len(items)
+    assert evals["eval_index"] == 0
+    assert made["__init__"] < 10_000
+
+
+def test_monomial_makes_one_engine_pass_per_q_and_r(capsys, monkeypatch):
+    # one work item per (q, r) at the default grid, each with one values ->
+    # forms step and one reduction_chunks call over every (d, k)
+    items = build_instances(VerifyJob("monomial"))
+    assert len(items) == 60
+    assert {(p["q"], p["r"]) for _, p in items} == {
+        (q, r) for q in harness.Q2_GRID for r in range(1, 13)}
+    counts = [_count_calls(monkeypatch, (harness,), name)
+              for name in ("forms_from_logs", "reduction_chunks")]
+    code, records, _ = _verify_records(capsys, "monomial", "--q", "3,5")
+    assert code == cli.EXIT_OK
+    assert [c[name] for c, name in zip(counts, (
+        "forms_from_logs", "reduction_chunks"))] == [2 * 12, 2 * 12]
+    # still one record per (q, d, k, r): d <= q + 1, k <= 4, r <= 12
+    assert len(records) == (4 * 4 + 6 * 4) * 12
+
+
+# the (q, d, k, r) records of one small monomial grid, elapsed removed, as
+# one work item per (q, d, k, r) reported them
+MONOMIAL_GRID_DIGEST = ("f359a7e3334b3950d1e69cd2201e8b424db8706677aeb71e6e2"
+                        "8b0b0c76626b1")
+
+
+def test_monomial_items_keep_one_record_per_grid_cell(capsys):
+    code, records, _ = _verify_records(capsys, "monomial", "--q", "3,4",
+                                       "--grid", "dmax=2;kmax=2;rmax=3")
+    assert code == cli.EXIT_OK
+    cells = [(rec["params"]["q"], rec["params"]["d"], rec["params"]["k"],
+              rec["params"]["r"]) for rec in records]
+    assert sorted(cells) == [(q, d, k, r) for q in (3, 4) for d in (1, 2)
+                             for k in (1, 2) for r in (1, 2, 3)]
+    # d = 1, and d = 2 at q = 4, admit no a with a^t != 1: skipped records
+    for (q, d, k, r), rec in zip(cells, records):
+        if d == 1 or q == 4:
+            assert rec["params"] == {"q": q, "d": d, "k": k, "r": r}
+            assert rec["skipped"] == ("hypothesis: no a with a^(q+1)=1 "
+                                      "and a^t != 1")
+        else:
+            assert rec["agree"] and rec["params"]["checked"] > 0
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode())
+    assert digest.hexdigest() == MONOMIAL_GRID_DIGEST
 
 
 @pytest.mark.parametrize("coeffs, text", [((1, 0, 0), "1"),

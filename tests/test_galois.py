@@ -389,6 +389,22 @@ def test_add_arrays_is_add_on_every_pair(p, n):
                             for i in range(spec.q)]
 
 
+@pytest.mark.parametrize("p,n", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_zero_log_zech_add_is_add_on_every_pair(p, n):
+    # F_9, F_25, F_27, F_49, F_81: the one-lookup Zech add, zeros included
+    # on either side, built on first use as int32 tables
+    spec = build_field(p, n)
+    spec._zero_log_zech = None
+    idx = np.arange(spec.q)
+    got = spec.add_arrays(idx[:, None], idx[None, :])
+    assert got.dtype == np.int32
+    assert all(table.dtype == np.int32 for table in spec.zero_log_zech())
+    assert got.tolist() == [[spec.add(i, j) for j in range(spec.q)]
+                            for i in range(spec.q)]
+    assert spec.add_arrays(idx, idx[::-1]).tolist() == [
+        spec.add(i, spec.q - 1 - i) for i in range(spec.q)]
+
+
 def test_poly_text_reads_a_lazy_token_memo():
     # str(Poly) formats only the indices it meets, once each per field
     spec = FieldSpec(2, 12)

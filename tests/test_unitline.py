@@ -21,8 +21,9 @@ from mto1.unitline import (INF, Deg1Map, RationalEvalError, RationalMap,
                            line_pair_deg1, line_poly_deg1, line_to_unit_scan,
                            observe_towers, permutes_unit_scan,
                            quartic_rootless_lemma, rat_eval,
-                           tower_gbar_predict, tower_line_predict,
-                           tower_unit_predict, transfer_families,
+                           tower_forms, tower_gbar_predict,
+                           tower_line_predict, tower_unit_predict,
+                           transfer_families,
                            unit_pair_deg1, unit_subgroup_points,
                            unit_to_line_scan)
 
@@ -593,12 +594,13 @@ def test_tower_h_vanishing_on_u_has_roots_in_u(p, n):
 @pytest.mark.parametrize("q", Q2_GRID)
 def test_tower_h_interpolates_the_fold_of_h_to_the_m1(q, fold):
     # h interpolated from H's values on U is H^m1 mod y^(q+1) - 1, for
-    # random H of degree up to 3q over F_(q^2) and every m1 | q-1
+    # random H of degree up to 3q over F_(q^2) and every m1 | q-1, all in
+    # one tower_forms batch, each record with its own r = m1
     spec = next(build_field(p, 2 * k) for p in (2, 3, 5, 7)
                 for k in (1, 2, 3) if p ** k == q)
     units = unit_subgroup_points(spec)
     rng = random.Random(f"interpolate-{q}")
-    forms = 0
+    pending, expected = [], []
     for m1 in (d for d in range(1, q) if (q - 1) % d == 0):
         for deg in (0, 1, q, q + 1, 3 * q):
             H = Poly(spec, [rng.randrange(1, spec.q)
@@ -608,16 +610,20 @@ def test_tower_h_interpolates_the_fold_of_h_to_the_m1(q, fold):
             if not all(hvals):
                 assert rec["failed"] == "H has roots in U"
                 continue
-            assert rec["form"].h == fold(fold(H, q + 1) ** m1, q + 1)
-            assert rec["form"].r == m1 and rec["form"].s == q - 1
-            forms += 1
-    assert forms >= 3
+            pending.append(rec["form"])
+            expected.append((fold(fold(H, q + 1) ** m1, q + 1), m1))
+    forms = tower_forms(pending)
+    assert len(forms) == len(expected)
+    for form, (h, m1) in zip(forms, expected):
+        assert form.h == h
+        assert form.r == m1 and form.s == q - 1
+    assert len(forms) >= 3
 
 
 def test_tower_h_that_misses_its_values_is_an_arithmetic_bug(monkeypatch):
     # the interpolant must give back H^m1's values through u_ell_values:
-    # an h that does not, rooted or not, raises RuntimeError, never a
-    # hypothesis failure
+    # an h that does not, rooted or not, raises RuntimeError from the batch
+    # step of observe_towers, never a hypothesis failure
     spec = build_field(2, 4)
     units = unit_subgroup_points(spec)
     hvals = next(vals for c in range(2, spec.q)
@@ -627,8 +633,10 @@ def test_tower_h_that_misses_its_values_is_an_arithmetic_bug(monkeypatch):
     for wrong in (lambda c: c * 0, lambda c: c[:, ::-1], lambda c: c ^ 1):
         monkeypatch.setattr(cyclotomic, "eval_powers",
                             lambda *a, wrong=wrong: wrong(eval_powers(*a)))
+        batch = [_tower_outcome(spec, r, hvals, 3, 3, {}, True)
+                 for r in (3, 6)]
         with pytest.raises(RuntimeError, match="arithmetic bug"):
-            _tower_outcome(spec, 3, hvals, 3, 3, {}, True)
+            observe_towers(batch)
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 2), (2, 6)])
